@@ -6,7 +6,6 @@ enumeration, classical annealing, random sampling, external subprocess).
 """
 
 from .anneal import (
-    AnnealState,
     DirectionPolicy,
     ScheduleConfig,
     SolveError,

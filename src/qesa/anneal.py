@@ -6,7 +6,7 @@ the best corner of the box, found by minimizing the objective restricted to
 model whose energy over directions s in {-1, +1}^n equals the exact
 objective change f(x + k s) - f(x):
 
-    couplings  J_ij   = k^2 * Q_ij          (i < j)
+    couplings  W      = k^2 * Q, diagonal zeroed
     fields     h_i    = k * (Q x + c)_i
     offset            = 0.5 * k^2 * trace(Q)   (constant since s_i^2 = 1)
 
@@ -84,19 +84,6 @@ class DirectionPolicy:
             )
 
 
-@dataclass
-class AnnealState:
-    """Mutable bookkeeping of one annealing run."""
-
-    x: np.ndarray
-    k: float
-    T: float
-    step: int
-    best_x: np.ndarray
-    best_f: float
-    trajectory: Optional[list] = None
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve: final and best point plus loop accounting.
@@ -167,10 +154,9 @@ def metropolis_accept(delta_f: float, T: float, rng: np.random.Generator) -> boo
 def direction_ising(inst: QpInstance, x, k: float) -> IsingModel:
     """Ising model whose energy over s in {-1,+1}^n equals f(x + k s) - f(x).
 
-    The symmetric pair of the quadratic form is merged into single upper-
-    triangular couplings, and the direction-independent diagonal part lands
-    in the offset, so sampler energies are exact objective deltas for the
-    unclipped proposal.
+    The couplings are W = k^2 Q with the diagonal removed; the direction-
+    independent diagonal part lands in the offset, so sampler energies are
+    exact objective deltas for the unclipped proposal.
     """
     if k <= 0:
         raise ValueError(f"step size k must be > 0, got {k}")
@@ -178,32 +164,21 @@ def direction_ising(inst: QpInstance, x, k: float) -> IsingModel:
     if x.shape != (inst.n,):
         raise ValueError(f"point has shape {x.shape}, instance expects ({inst.n},)")
     k2 = k * k
-    h = k * (inst.Q @ x + inst.c)
-    iu, ju = np.triu_indices(inst.n, 1)
-    vals = k2 * inst.Q[iu, ju]
-    nz = vals != 0.0
-    couplings = {
-        (int(i), int(j)): float(v) for i, j, v in zip(iu[nz], ju[nz], vals[nz])
-    }
+    w = k2 * inst.Q
+    np.fill_diagonal(w, 0.0)
     offset = 0.5 * k2 * float(np.trace(inst.Q))
-    return IsingModel(n=inst.n, J=couplings, h=h, offset=offset)
+    return IsingModel(W=w, h=k * (inst.Q @ x + inst.c), offset=offset)
 
 
 def init_ising(inst: QpInstance) -> IsingModel:
     """Ising model whose energy at any corner x in {-1,+1}^n equals f(x).
 
-    The corner-independent diagonal contribution 0.5 * trace(Q) is kept in
-    the offset, so the model's ground state is the best corner of the box
-    with its true objective value.
+    This is the direction model at x = 0 with k = 1: W is Q off the diagonal,
+    h = c, and the corner-independent 0.5 * trace(Q) is kept in the offset,
+    so the ground state is the best corner of the box with its true
+    objective value.
     """
-    iu, ju = np.triu_indices(inst.n, 1)
-    vals = inst.Q[iu, ju]
-    nz = vals != 0.0
-    couplings = {
-        (int(i), int(j)): float(v) for i, j, v in zip(iu[nz], ju[nz], vals[nz])
-    }
-    offset = 0.5 * float(np.trace(inst.Q))
-    return IsingModel(n=inst.n, J=couplings, h=inst.c.copy(), offset=offset)
+    return direction_ising(inst, np.zeros(inst.n), 1.0)
 
 
 def perturb_direction(spins, policy: DirectionPolicy, rng: np.random.Generator) -> np.ndarray:
@@ -248,21 +223,14 @@ def qesa_solve(
     f_x = objective(inst, x)
     eval_count = 1
 
-    state = AnnealState(
-        x=x,
-        k=schedule.k0,
-        T=schedule.t_max,
-        step=0,
-        best_x=x.copy(),
-        best_f=f_x,
-        trajectory=[] if record_trajectory else None,
-    )
+    k = schedule.k0
+    best_x, best_f = x.copy(), f_x
+    trajectory = [] if record_trajectory else None
     accepted_count = 0
 
     for step in range(schedule.steps):
-        state.step = step
-        state.T = temperature(schedule, step)
-        model = direction_ising(inst, state.x, state.k)
+        T = temperature(schedule, step)
+        model = direction_ising(inst, x, k)
         try:
             result = sampler(model)
         except Exception as exc:
@@ -271,30 +239,30 @@ def qesa_solve(
         direction = np.asarray(result.best, dtype=float)
         if policy is not None:
             direction = perturb_direction(direction, policy, perturb_rng)
-        proposal = np.clip(state.x + state.k * direction, -1.0, 1.0)
+        proposal = np.clip(x + k * direction, -1.0, 1.0)
         f_new = objective(inst, proposal)
         eval_count += 1
-        accepted = metropolis_accept(f_new - f_x, state.T, rng)
+        accepted = metropolis_accept(f_new - f_x, T, rng)
         if accepted:
-            state.x = proposal
+            x = proposal
             f_x = f_new
             accepted_count += 1
-            if f_x < state.best_f:
-                state.best_x = state.x.copy()
-                state.best_f = f_x
-        if state.trajectory is not None:
-            state.trajectory.append((step, f_x, accepted))
-        state.k *= schedule.alpha
+            if f_x < best_f:
+                best_x = x.copy()
+                best_f = f_x
+        if trajectory is not None:
+            trajectory.append((step, f_x, accepted))
+        k *= schedule.alpha
 
     return SolveReport(
-        final_x=state.x,
-        best_x=state.best_x,
-        best_f=state.best_f,
+        final_x=x,
+        best_x=best_x,
+        best_f=best_f,
         steps=schedule.steps,
         accepted_count=accepted_count,
         wall_time_s=time.perf_counter() - t0,
         sampler_time_s=sampler_time,
         eval_count=eval_count,
-        final_k=state.k,
-        trajectory=state.trajectory,
+        final_k=k,
+        trajectory=trajectory,
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .anneal import ScheduleConfig, SolveReport, init_ising, qesa_solve
 from .ising import EXACT_SIZE_CAP, SamplerConfig, make_sampler, solve_exact
-from .qp import QpInstance, gradient, objective
+from .qp import QpInstance, batch_objective, gradient, objective
 
 
 def solve_sa_baseline(
@@ -122,7 +122,7 @@ def solve_random_search(inst: QpInstance, budget: int, seed=None) -> SolveReport
     while remaining > 0:
         block = min(remaining, 4096)
         points = rng.uniform(-1.0, 1.0, size=(block, inst.n))
-        values = 0.5 * np.einsum("ri,ri->r", points @ inst.Q, points) + points @ inst.c
+        values = batch_objective(inst, points)
         b = int(np.argmin(values))
         if values[b] < best_f:
             best_f = float(values[b])

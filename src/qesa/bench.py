@@ -29,7 +29,7 @@ from .baselines import (
     solve_sa_baseline,
 )
 from .ising import EXACT_SIZE_CAP, SamplerConfig, make_sampler, solve_exact
-from .qp import QpInstance, generate, objective
+from .qp import QpInstance, batch_objective, generate, objective
 
 GRID_COLUMNS = (
     "solver",
@@ -165,12 +165,10 @@ def reference_solution(
     eta = 1.0 / max(1.0, float(np.linalg.norm(inst.Q, 2)))
     points = rng.uniform(-1.0, 1.0, size=(restarts, inst.n))
     best_points = points.copy()
-    best_values = (
-        0.5 * np.einsum("ri,ri->r", points @ inst.Q, points) + points @ inst.c
-    )
+    best_values = batch_objective(inst, points)
     for _ in range(iters):
         points = np.clip(points - eta * (points @ inst.Q + inst.c), -1.0, 1.0)
-        values = 0.5 * np.einsum("ri,ri->r", points @ inst.Q, points) + points @ inst.c
+        values = batch_objective(inst, points)
         improved = values < best_values
         best_points[improved] = points[improved]
         best_values[improved] = values[improved]
@@ -397,27 +395,20 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(rows: Sequence[dict], columns: Sequence[str], path) -> None:
+def write_csv(rows: Sequence[dict], columns: Sequence[str], path, delimiter: str = ",") -> None:
     """Write rows with a mandatory header and shortest-round-trip floats."""
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row.get(col)) for col in columns])
 
 
 def write_tsv(rows: Sequence[dict], columns: Sequence[str], path) -> None:
-    parent = os.path.dirname(os.fspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(col)) for col in columns])
+    write_csv(rows, columns, path, delimiter="\t")
 
 
 def median_table(

@@ -129,17 +129,6 @@ def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampler-timeout", type=_positive_float, default=60.0)
 
 
-def _schedule_from(args) -> anneal.ScheduleConfig:
-    return anneal.ScheduleConfig(
-        t_max=args.t_max,
-        t_min=args.t_min,
-        steps=args.steps,
-        k0=args.k0,
-        alpha=args.alpha,
-        cooling=args.cooling,
-    )
-
-
 def _sampler_cfg_from(args, seed=None) -> ising.SamplerConfig:
     return ising.SamplerConfig(
         num_samples=args.num_samples,
@@ -248,7 +237,7 @@ def _cmd_solve(args, parser) -> int:
                 f"{ising.ENV_EXTERNAL_SAMPLER} environment variable or pass --sampler-cmd"
             )
     inst = qp.load(args.instance)
-    schedule = _schedule_from(args)
+    schedule = args.schedule
     if args.solver == "qesa":
         cfg = _sampler_cfg_from(args, seed=args.seed + 1)
         policy = None
@@ -305,7 +294,7 @@ def _cmd_bench(args, parser) -> int:
         diag_scales=tuple(args.scales),
         seeds=tuple(args.seeds),
         solvers=solvers,
-        schedule=_schedule_from(args),
+        schedule=args.schedule,
         sampler_cfg=_sampler_cfg_from(args),
     )
     os.makedirs(args.out_dir, exist_ok=True)
@@ -322,40 +311,25 @@ def _instances_for_sweep(args) -> list:
     return [qp.generate(args.dim, args.scale, seed) for seed in args.seeds]
 
 
-def _cmd_sweep_steps(args) -> int:
+def _cmd_sweep(args) -> int:
+    column = "steps" if args.command == "sweep-steps" else "p"
+    sweep, values = (
+        (bench.sweep_steps, args.steps_list) if column == "steps" else (bench.sweep_p, args.p_list)
+    )
     os.makedirs(args.out_dir, exist_ok=True)
-    out_csv = os.path.join(args.out_dir, "sweep_steps.csv")
-    rows = bench.sweep_steps(
+    out_csv = os.path.join(args.out_dir, f"sweep_{column}.csv")
+    rows = sweep(
         _instances_for_sweep(args),
-        args.steps_list,
+        values,
         out_path=out_csv,
-        schedule=_schedule_from(args),
+        schedule=args.schedule,
         sampler_backend=args.sampler,
         sampler_cfg=_sampler_cfg_from(args),
         base_seed=args.base_seed,
     )
-    medians = bench.median_table(rows, ["steps"], ["best_f"])
-    bench.write_tsv(medians, ("steps", "best_f"),
-                    os.path.join(args.out_dir, "plot_by_steps.tsv"))
-    print(f"wrote {out_csv} ({len(rows)} rows)")
-    return 0
-
-
-def _cmd_sweep_p(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_csv = os.path.join(args.out_dir, "sweep_p.csv")
-    rows = bench.sweep_p(
-        _instances_for_sweep(args),
-        args.p_list,
-        out_path=out_csv,
-        schedule=_schedule_from(args),
-        sampler_backend=args.sampler,
-        sampler_cfg=_sampler_cfg_from(args),
-        base_seed=args.base_seed,
-    )
-    medians = bench.median_table(rows, ["p"], ["best_f"])
-    bench.write_tsv(medians, ("p", "best_f"),
-                    os.path.join(args.out_dir, "plot_by_p.tsv"))
+    medians = bench.median_table(rows, [column], ["best_f"])
+    bench.write_tsv(medians, (column, "best_f"),
+                    os.path.join(args.out_dir, f"plot_by_{column}.tsv"))
     print(f"wrote {out_csv} ({len(rows)} rows)")
     return 0
 
@@ -370,6 +344,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)
+    if args.command != "generate":
+        try:
+            args.schedule = anneal.ScheduleConfig(
+                t_max=args.t_max, t_min=args.t_min, steps=args.steps,
+                k0=args.k0, alpha=args.alpha, cooling=args.cooling,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))  # exits with status 2
     try:
         if args.command == "generate":
             return _cmd_generate(args)
@@ -377,9 +359,7 @@ def main(argv=None) -> int:
             return _cmd_solve(args, parser)
         if args.command == "bench":
             return _cmd_bench(args, parser)
-        if args.command == "sweep-steps":
-            return _cmd_sweep_steps(args)
-        return _cmd_sweep_p(args)
+        return _cmd_sweep(args)
     except (anneal.SolveError, ising.SamplerError, qp.InstanceFormatError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,11 @@
 """Ising models and interchangeable ground-state samplers.
 
 The canonical energy is E(s) = sum_{i<j} J_ij s_i s_j + sum_i h_i s_i + offset
-over spins s_i in {-1, +1}. The offset carries constants dropped when a
+over spins s_i in {-1, +1}. Models hold the couplings as one dense symmetric
+zero-diagonal matrix W (W_ij = W_ji = J_ij), so E(s) = 0.5 s.W.s + h.s +
+offset; the (i, j) -> J_ij dict form appears only in
+``IsingModel.from_couplings``, the read-only ``IsingModel.J`` view and the
+external-sampler wire format. The offset carries constants dropped when a
 quadratic objective is reduced to this form, so sampler energies stay
 directly comparable to objective deltas.
 
@@ -23,6 +27,7 @@ import subprocess
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,48 +64,77 @@ class InvalidSpinError(ExternalSamplerError):
     """The external sampler returned values outside {-1, +1}."""
 
 
+def _check_finite(name: str, a) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries (NaN or inf)")
+
+
 @dataclass(frozen=True, eq=False)
 class IsingModel:
-    """Pairwise couplings J (upper-triangular keys i<j), fields h, constant offset."""
+    """Dense couplings W (symmetric, zero diagonal), fields h, constant offset.
 
-    n: int
-    J: dict
+    ``W[i, j] == W[j, i] == J_ij``, so the energy is 0.5 * s.W.s + h.s +
+    offset. W and h are stored read-only. The sparse (i, j) -> J_ij form
+    exists only at the edges: ``from_couplings`` builds a model from it, the
+    ``J`` view reads it back, and the external-sampler wire format uses it.
+    """
+
+    W: np.ndarray
     h: np.ndarray
     offset: float = 0.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
         h = np.array(self.h, dtype=float)
-        if h.shape != (self.n,):
-            raise ValueError(f"h has shape {h.shape}, expected ({self.n},)")
+        if h.ndim != 1 or h.shape[0] < 1:
+            raise ValueError(f"h must be a non-empty vector, got shape {h.shape}")
+        n = h.shape[0]
+        w = np.array(self.W, dtype=float)
+        if w.shape != (n, n):
+            raise ValueError(f"W has shape {w.shape}, expected ({n}, {n})")
+        _check_finite("W", w)
+        _check_finite("h", h)
+        _check_finite("offset", self.offset)
+        if not np.array_equal(w, w.T):
+            raise ValueError("W must be symmetric")
+        if np.any(np.diagonal(w) != 0.0):
+            raise ValueError("W must have a zero diagonal")
+        w.setflags(write=False)
         h.setflags(write=False)
+        object.__setattr__(self, "W", w)
         object.__setattr__(self, "h", h)
-        couplings = {}
-        for key, value in self.J.items():
-            i, j = key
-            i, j = int(i), int(j)
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"coupling key {key!r} violates 0 <= i < j < n={self.n}")
-            couplings[(i, j)] = float(value)
-        object.__setattr__(self, "J", couplings)
         object.__setattr__(self, "offset", float(self.offset))
 
+    @classmethod
+    def from_couplings(cls, n: int, J: dict, h, offset: float = 0.0) -> "IsingModel":
+        """Model from upper-triangular couplings {(i, j): J_ij} with 0 <= i < j < n."""
+        if int(n) != n or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        n = int(n)
+        w = np.zeros((n, n))
+        for key, value in J.items():
+            i, j = int(key[0]), int(key[1])
+            if not (0 <= i < j < n):
+                raise ValueError(f"coupling key {key!r} violates 0 <= i < j < n={n}")
+            w[i, j] = w[j, i] = value
+        h = np.asarray(h, dtype=float)
+        if h.shape != (n,):
+            raise ValueError(f"h has shape {h.shape}, expected ({n},)")
+        return cls(W=w, h=h, offset=offset)
+
+    @property
+    def n(self) -> int:
+        return self.h.shape[0]
+
     @cached_property
-    def dense_couplings(self) -> np.ndarray:
-        """Symmetric zero-diagonal matrix W with W[i,j] = W[j,i] = J_ij."""
-        w = np.zeros((self.n, self.n))
-        for (i, j), value in self.J.items():
-            w[i, j] = value
-            w[j, i] = value
-        w.setflags(write=False)
-        return w
+    def J(self) -> MappingProxyType:
+        """Read-only {(i, j): J_ij} view of the nonzero couplings, i < j."""
+        iu, ju = np.nonzero(np.triu(self.W, 1))
+        return MappingProxyType(
+            {(int(i), int(j)): float(self.W[i, j]) for i, j in zip(iu, ju)}
+        )
 
     def max_abs_coefficient(self) -> float:
-        j_max = max((abs(v) for v in self.J.values()), default=0.0)
-        h_max = float(np.max(np.abs(self.h))) if self.n else 0.0
-        return max(j_max, h_max)
+        return max(float(np.max(np.abs(self.W))), float(np.max(np.abs(self.h))))
 
 
 @dataclass(frozen=True)
@@ -134,6 +168,8 @@ class SamplerConfig:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
         if self.inner_sweeps < 1:
             raise ValueError(f"inner_sweeps must be >= 1, got {self.inner_sweeps}")
+        if not self.timeout_s > 0:
+            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
 
 
 def energy(model: IsingModel, spins) -> float:
@@ -141,13 +177,11 @@ def energy(model: IsingModel, spins) -> float:
     s = np.asarray(spins, dtype=float)
     if s.shape != (model.n,):
         raise ValueError(f"spin vector has shape {s.shape}, expected ({model.n},)")
-    w = model.dense_couplings
-    return float(0.5 * (s @ (w @ s)) + model.h @ s + model.offset)
+    return float(0.5 * (s @ (model.W @ s)) + model.h @ s + model.offset)
 
 
 def _batch_energies(model: IsingModel, spins: np.ndarray) -> np.ndarray:
-    w = model.dense_couplings
-    return 0.5 * np.einsum("ri,ri->r", spins @ w, spins) + spins @ model.h + model.offset
+    return 0.5 * np.einsum("ri,ri->r", spins @ model.W, spins) + spins @ model.h + model.offset
 
 
 @lru_cache(maxsize=8)
@@ -190,10 +224,16 @@ def solve_exact(model: IsingModel, size_cap: int = EXACT_SIZE_CAP) -> SampleResu
     best_s = None
     for block in _spin_chunks(model.n):
         energies = _batch_energies(model, block)
+        energies[np.isnan(energies)] = np.inf  # argmin would stop at a NaN
         i = int(np.argmin(energies))
         if energies[i] < best_e:
             best_e = float(energies[i])
             best_s = block[i].copy()
+    if best_s is None:
+        raise SamplerError(
+            f"no state of the n={model.n} model has an energy below +inf "
+            "(every energy is NaN or overflows)"
+        )
     return SampleResult(
         best=best_s,
         best_energy=energy(model, best_s),
@@ -216,7 +256,7 @@ def solve_classical_sa(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
     spins = rng.integers(0, 2, size=(restarts, n)).astype(float) * 2.0 - 1.0
     scale = model.max_abs_coefficient()
     if scale > 0.0:
-        w = model.dense_couplings
+        w = model.W
         h = model.h
         t_high = SA_T_HIGH_FACTOR * scale
         t_low = SA_T_LOW_FACTOR * scale
@@ -262,7 +302,7 @@ def model_to_request(model: IsingModel, num_samples: int) -> dict:
     return {
         "n": model.n,
         "h": model.h.tolist(),
-        "J": [[i, j, value] for (i, j), value in sorted(model.J.items())],
+        "J": [[i, j, value] for (i, j), value in model.J.items()],
         "num_samples": int(num_samples),
     }
 
@@ -270,7 +310,7 @@ def model_to_request(model: IsingModel, num_samples: int) -> dict:
 def model_from_request(doc: dict) -> IsingModel:
     """Rebuild a model from a wire-format request (used by loop-back doubles)."""
     couplings = {(int(i), int(j)): float(v) for i, j, v in doc["J"]}
-    return IsingModel(n=int(doc["n"]), J=couplings, h=np.asarray(doc["h"], dtype=float))
+    return IsingModel.from_couplings(int(doc["n"]), couplings, doc["h"])
 
 
 def solve_external(model: IsingModel, cfg: SamplerConfig) -> SampleResult:

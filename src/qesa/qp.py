@@ -50,6 +50,9 @@ class QpInstance:
             )
         if q.shape[0] < 1:
             raise ValueError("instance dimension must be >= 1")
+        for name, a in (("Q", q), ("c", c)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} has non-finite entries (NaN or inf)")
         was_symmetric = bool(np.array_equal(q, q.T))
         if not was_symmetric:
             q = 0.5 * (q + q.T)
@@ -75,6 +78,11 @@ def objective(inst: QpInstance, x) -> float:
     """Evaluate 0.5 * x^T Q x + c^T x in double precision."""
     x = _check_point(inst, x)
     return float(0.5 * (x @ (inst.Q @ x)) + inst.c @ x)
+
+
+def batch_objective(inst: QpInstance, X: np.ndarray) -> np.ndarray:
+    """Objective of every row of X, shape (r, n) -> (r,)."""
+    return 0.5 * np.einsum("ri,ri->r", X @ inst.Q, X) + X @ inst.c
 
 
 def gradient(inst: QpInstance, x) -> np.ndarray:
@@ -159,15 +167,19 @@ def load(path) -> QpInstance:
         raise InstanceFormatError(f"{path}: Q has shape {q.shape}, expected ({n}, {n})")
     if c.shape != (n,):
         raise InstanceFormatError(f"{path}: c has length {c.shape}, expected {n}")
-    if not np.array_equal(q, q.T):
+    meta = doc.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise InstanceFormatError(f"{path}: meta must be an object or null")
+    try:
+        inst = QpInstance(Q=q, c=c, meta=meta)
+    except ValueError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from exc
+    if not inst.was_symmetric:
         i, j = np.argwhere(q != q.T)[0]
         raise InstanceFormatError(
             f"{path}: Q is not symmetric, Q[{i}][{j}] != Q[{j}][{i}]"
         )
-    meta = doc.get("meta")
-    if meta is not None and not isinstance(meta, dict):
-        raise InstanceFormatError(f"{path}: meta must be an object or null")
-    return QpInstance(Q=q, c=c, meta=meta)
+    return inst
 
 
 @dataclass(frozen=True)

@@ -223,7 +223,7 @@ def test_c10_external_sampler_loopback():
     for _ in range(20):
         n = int(rng.integers(2, 13))
         couplings, h, offset = random_model(rng, n)
-        model = ising.IsingModel(n=n, J=couplings, h=h, offset=offset)
+        model = ising.IsingModel.from_couplings(n, couplings, h, offset)
         direct = ising.solve_exact(model)
         looped = ising.solve_external(model, cfg)
         if (

@@ -91,6 +91,23 @@ def test_solve_external_with_fake_sampler(tmp_path, capsys):
     assert "best_f: -1.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep-steps", "sweep-p"])
+@pytest.mark.parametrize(
+    "flags, message", [(["--alpha", "2"], "alpha"), (["--t-min", "5", "--t-max", "1"], "t_max")]
+)
+def test_invalid_schedule_is_usage_error(tmp_path, capsys, command, flags, message):
+    args = {
+        "solve": [str(_write_trivial_instance(tmp_path))],
+        "bench": ["-o", str(tmp_path / "out")],
+        "sweep-steps": ["-o", str(tmp_path / "out")],
+        "sweep-p": ["-o", str(tmp_path / "out")],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, *args, *flags])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from conftest import fake_sampler_cmd, random_model
 
 
 def _model(couplings, h, offset=0.0):
-    return ising.IsingModel(n=len(h), J=couplings, h=np.asarray(h, dtype=float), offset=offset)
+    return ising.IsingModel.from_couplings(len(h), couplings, h, offset)
 
 
 def _cfg(mode, **kwargs):

@@ -9,7 +9,7 @@ from conftest import enumerate_ground_state, ising_energy_oracle, random_model
 
 
 def _model(couplings, h, offset=0.0):
-    return ising.IsingModel(n=len(h), J=couplings, h=np.asarray(h, dtype=float), offset=offset)
+    return ising.IsingModel.from_couplings(len(h), couplings, h, offset)
 
 
 def test_energy_hand_values():
@@ -40,7 +40,54 @@ def test_model_validation():
     with pytest.raises(ValueError):
         _model({(0, 5): 1.0}, [0.0, 0.0, 0.0])  # j out of range
     with pytest.raises(ValueError):
-        ising.IsingModel(n=3, J={}, h=np.zeros(2))
+        ising.IsingModel.from_couplings(3, {}, np.zeros(2))
+
+
+def test_model_from_dense_arrays():
+    m = ising.IsingModel(W=[[0.0, 2.0], [2.0, 0.0]], h=[1.0, -1.0], offset=0.5)
+    assert m.n == 2
+    assert m.J == {(0, 1): 2.0}
+    assert ising.energy(m, [1.0, 1.0]) == 2.0 + 0.0 + 0.5
+    with pytest.raises(ValueError):
+        m.W[0, 1] = 3.0  # read-only
+    assert m.max_abs_coefficient() == 2.0
+
+
+def test_model_rejects_bad_w():
+    with pytest.raises(ValueError, match="W has shape"):
+        ising.IsingModel(W=np.zeros((2, 3)), h=np.zeros(2))
+    with pytest.raises(ValueError, match="symmetric"):
+        ising.IsingModel(W=[[0.0, 1.0], [2.0, 0.0]], h=np.zeros(2))
+    with pytest.raises(ValueError, match="diagonal"):
+        ising.IsingModel(W=[[1.0, 0.0], [0.0, 0.0]], h=np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_input(bad):
+    w = np.zeros((2, 2))
+    w[0, 1] = w[1, 0] = bad
+    with pytest.raises(ValueError, match="^W has non-finite"):
+        ising.IsingModel(W=w, h=np.zeros(2))
+    with pytest.raises(ValueError, match="^h has non-finite"):
+        ising.IsingModel(W=np.zeros((2, 2)), h=[0.0, bad])
+    with pytest.raises(ValueError, match="^offset has non-finite"):
+        ising.IsingModel(W=np.zeros((2, 2)), h=np.zeros(2), offset=bad)
+    with pytest.raises(ValueError, match="^W has non-finite"):
+        _model({(0, 1): bad}, [0.0, 0.0])
+
+
+def test_solve_exact_skips_nan_energies_and_raises_when_all_are_nan(monkeypatch):
+    # Coefficients near the float maximum overflow to NaN energies, but which
+    # states do depends on the BLAS summation order, so the energies are fed
+    # in directly.
+    m = _model({(0, 1): 1.0}, [0.0, 0.0])
+    monkeypatch.setattr(
+        ising, "_batch_energies", lambda model, spins: np.array([np.nan, 3.0, np.nan, 1.0])
+    )
+    np.testing.assert_array_equal(ising.solve_exact(m).best, [1.0, 1.0])
+    monkeypatch.setattr(ising, "_batch_energies", lambda model, spins: np.full(4, np.nan))
+    with pytest.raises(ising.SamplerError, match="NaN"):
+        ising.solve_exact(m)
 
 
 def test_solve_exact_tie_break_lexicographic():
@@ -188,6 +235,12 @@ def test_sampler_config_validation():
         ising.SamplerConfig(num_samples=0)
     with pytest.raises(ValueError):
         ising.SamplerConfig(inner_sweeps=0)
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0])
+def test_sampler_config_rejects_non_positive_timeout(timeout):
+    with pytest.raises(ValueError, match="timeout_s"):
+        ising.SamplerConfig(timeout_s=timeout)
 
 
 def test_make_sampler_unknown_backend():

@@ -121,6 +121,25 @@ def test_constructor_validation():
         qp.QpInstance(Q=[[1.0, 0.0], [0.0, 1.0]], c=[0.0])  # c length
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_non_finite_entries(bad):
+    q = np.eye(3)
+    q[0, 2] = q[2, 0] = bad
+    with pytest.raises(ValueError, match="^Q has non-finite"):
+        qp.QpInstance(Q=q, c=np.zeros(3))
+    with pytest.raises(ValueError, match="^c has non-finite"):
+        qp.QpInstance(Q=np.eye(3), c=[0.0, bad, 0.0])
+
+
+def test_batch_objective_matches_objective_per_row(rng):
+    inst = qp.generate(7, 3.0, seed=4)
+    points = rng.uniform(-1.0, 1.0, size=(5, 7))
+    values = qp.batch_objective(inst, points)
+    assert values.shape == (5,)
+    for x, value in zip(points, values):
+        assert value == pytest.approx(qp.objective(inst, x), abs=1e-12)
+
+
 def test_save_load_round_trip_exact(tmp_path):
     inst = qp.generate(10, 5.0, seed=42)
     path = tmp_path / "inst.json"
@@ -155,6 +174,14 @@ def test_load_rejects_wrong_c_length(tmp_path):
 def test_load_rejects_asymmetric_q(tmp_path):
     doc = {"version": 1, "n": 2, "Q": [[1.0, 0.5], [0.25, 1.0]], "c": [0.0, 0.0], "meta": None}
     with pytest.raises(qp.InstanceFormatError, match="not symmetric"):
+        qp.load(_write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("field", ["Q", "c"])
+def test_load_rejects_non_finite_entries(tmp_path, field):
+    doc = {"version": 1, "n": 2, "Q": [[1.0, 0.0], [0.0, 1.0]], "c": [0.0, 0.0], "meta": None}
+    doc[field][1] = float("nan") if field == "c" else [0.0, float("nan")]
+    with pytest.raises(qp.InstanceFormatError, match=f"{field} has non-finite"):
         qp.load(_write_doc(tmp_path, doc))
 
 
