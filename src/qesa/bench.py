@@ -298,76 +298,45 @@ def run_grid(
     return rows
 
 
-def sweep_steps(
+def sweep(
+    param: str,
     instances: Sequence[QpInstance],
-    steps_list: Sequence[int],
+    values: Sequence,
     out_path=None,
     schedule: Optional[ScheduleConfig] = None,
     sampler_backend: str = "exact",
     sampler_cfg: Optional[SamplerConfig] = None,
     base_seed: int = 0,
 ) -> list[dict]:
-    """One full solve per (instance, step count), temperature endpoints fixed.
+    """One full solve per (instance, value of ``param``), ``param`` "steps" or "p".
 
-    The schedule is re-interpolated over each step count; step-size decay
-    keeps its per-step factor. Seeds are paired across step counts so each
-    instance sees common random numbers at every count.
+    "steps" re-interpolates the schedule over each step count, temperature
+    endpoints fixed; step-size decay keeps its per-step factor. "p" is the
+    direction retention probability. Loop and sampler seeds are paired
+    across values, so each instance sees common random numbers at every
+    value; only the direction-perturbation stream depends on p's policy.
     """
-    schedule = schedule if schedule is not None else ScheduleConfig()
-    sampler_cfg = sampler_cfg if sampler_cfg is not None else SamplerConfig()
-    rows = []
-    for idx, inst in enumerate(instances):
-        loop_seed, sampler_seed, _ = _cell_seeds(base_seed, idx)
-        meta = inst.meta or {}
-        for steps in steps_list:
-            if steps < 1:
-                raise ValueError(f"step counts must be >= 1, got {steps}")
-            sched = replace(schedule, steps=int(steps))
-            sampler = make_sampler(sampler_backend, replace(sampler_cfg, seed=sampler_seed))
-            report = qesa_solve(inst, schedule=sched, sampler=sampler, seed=loop_seed)
-            rows.append(
-                {
-                    "instance": idx,
-                    "n": inst.n,
-                    "diag_scale": meta.get("diag_scale"),
-                    "seed": meta.get("seed"),
-                    "steps": int(steps),
-                    "best_f": report.best_f,
-                    "wall_time_s": report.wall_time_s,
-                    "sampler_time_s": report.sampler_time_s,
-                    "eval_count": report.eval_count,
-                }
-            )
-    if out_path is not None:
-        write_csv(rows, SWEEP_STEPS_COLUMNS, out_path)
-    return rows
-
-
-def sweep_p(
-    instances: Sequence[QpInstance],
-    p_list: Sequence[float],
-    out_path=None,
-    schedule: Optional[ScheduleConfig] = None,
-    sampler_backend: str = "exact",
-    sampler_cfg: Optional[SamplerConfig] = None,
-    base_seed: int = 0,
-) -> list[dict]:
-    """One full solve per (instance, retention probability).
-
-    Loop and sampler seeds are shared across p values for paired comparisons;
-    only the direction-perturbation stream depends on p's policy.
-    """
+    if param not in ("steps", "p"):
+        raise ValueError(f"sweep parameter must be 'steps' or 'p', got {param!r}")
     schedule = schedule if schedule is not None else ScheduleConfig()
     sampler_cfg = sampler_cfg if sampler_cfg is not None else SamplerConfig()
     rows = []
     for idx, inst in enumerate(instances):
         loop_seed, sampler_seed, policy_seed = _cell_seeds(base_seed, idx)
         meta = inst.meta or {}
-        for p in p_list:
-            policy = DirectionPolicy(retain_probability=float(p), seed=policy_seed)
+        for value in values:
+            sched, policy = schedule, None
+            if param == "steps":
+                if value < 1:
+                    raise ValueError(f"step counts must be >= 1, got {value}")
+                value = int(value)
+                sched = replace(schedule, steps=value)
+            else:
+                value = float(value)
+                policy = DirectionPolicy(retain_probability=value, seed=policy_seed)
             sampler = make_sampler(sampler_backend, replace(sampler_cfg, seed=sampler_seed))
             report = qesa_solve(
-                inst, schedule=schedule, sampler=sampler, policy=policy, seed=loop_seed
+                inst, schedule=sched, sampler=sampler, policy=policy, seed=loop_seed
             )
             rows.append(
                 {
@@ -375,7 +344,7 @@ def sweep_p(
                     "n": inst.n,
                     "diag_scale": meta.get("diag_scale"),
                     "seed": meta.get("seed"),
-                    "p": float(p),
+                    param: value,
                     "best_f": report.best_f,
                     "wall_time_s": report.wall_time_s,
                     "sampler_time_s": report.sampler_time_s,
@@ -383,8 +352,18 @@ def sweep_p(
                 }
             )
     if out_path is not None:
-        write_csv(rows, SWEEP_P_COLUMNS, out_path)
+        write_csv(rows, SWEEP_STEPS_COLUMNS if param == "steps" else SWEEP_P_COLUMNS, out_path)
     return rows
+
+
+def sweep_steps(instances: Sequence[QpInstance], steps_list: Sequence[int], **kwargs) -> list[dict]:
+    """``sweep("steps", ...)``: one full solve per (instance, step count)."""
+    return sweep("steps", instances, steps_list, **kwargs)
+
+
+def sweep_p(instances: Sequence[QpInstance], p_list: Sequence[float], **kwargs) -> list[dict]:
+    """``sweep("p", ...)``: one full solve per (instance, retention probability)."""
+    return sweep("p", instances, p_list, **kwargs)
 
 
 def _format_cell(value) -> str:

@@ -62,6 +62,17 @@ def _float_list(text: str) -> list[float]:
     return out
 
 
+def _probability(value) -> float:
+    try:
+        return anneal.DirectionPolicy(retain_probability=float(value)).retain_probability
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _probability_list(text: str) -> list[float]:
+    return [_probability(p) for p in _float_list(text)]
+
+
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", default=None, metavar="FILE",
@@ -167,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Ising backend for the qesa solver",
     )
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--retain-p", type=float, default=None,
+    p_solve.add_argument("--retain-p", type=_probability, default=None,
                          help="direction retention probability (enables perturbation)")
     p_solve.add_argument("--budget", type=_positive_int, default=None,
                          help="random_search evaluation budget (default: steps + 1)")
@@ -211,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_p.add_argument("-n", "--dim", type=_positive_int, default=12)
     p_p.add_argument("--scale", type=_positive_float, default=1.0)
     p_p.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
-    p_p.add_argument("--p-list", type=_float_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
+    p_p.add_argument("--p-list", type=_probability_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
     p_p.add_argument("--sampler", choices=("exact", "sa", "random"), default="exact")
     p_p.add_argument("--base-seed", type=int, default=0)
     p_p.add_argument("-o", "--out-dir", required=True)
@@ -313,14 +324,12 @@ def _instances_for_sweep(args) -> list:
 
 def _cmd_sweep(args) -> int:
     column = "steps" if args.command == "sweep-steps" else "p"
-    sweep, values = (
-        (bench.sweep_steps, args.steps_list) if column == "steps" else (bench.sweep_p, args.p_list)
-    )
     os.makedirs(args.out_dir, exist_ok=True)
     out_csv = os.path.join(args.out_dir, f"sweep_{column}.csv")
-    rows = sweep(
+    rows = bench.sweep(
+        column,
         _instances_for_sweep(args),
-        values,
+        args.steps_list if column == "steps" else args.p_list,
         out_path=out_csv,
         schedule=args.schedule,
         sampler_backend=args.sampler,

@@ -108,6 +108,23 @@ def test_invalid_schedule_is_usage_error(tmp_path, capsys, command, flags, messa
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [("solve", ["--retain-p", "2"]), ("solve", ["--retain-p", "-0.5"]),
+     ("sweep-p", ["--p-list", "1.5"]), ("sweep-p", ["--p-list", "0,0.5,-1"])],
+)
+def test_retention_probability_outside_unit_interval_is_usage_error(
+    tmp_path, capsys, command, flags
+):
+    out = tmp_path / "out"
+    args = [str(_write_trivial_instance(tmp_path))] if command == "solve" else ["-o", str(out)]
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, *args, *flags])
+    assert err.value.code == 2
+    assert "retain_probability must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -22,6 +22,10 @@ GOLDEN = {
         "-0x1.03924c8fd0018p+3",
         "f8cc4be6257480c9669e151b1e08e32aa9b76de69bae6d89c792b3822c3e1bfc",
     ),
+    "exact_n18": (
+        "-0x1.fde5c12d3011cp+4",
+        "e714383ceb7c226b6a30b0cf336c6a08c5283d11b94a9b9d5bd3a2ea4ee6df67",
+    ),
     "sa_n12": (
         "-0x1.18882e45f0b74p+4",
         "b1a3358bb2f0417b8a3f6ca8aa1c3fea55d704209279264f62a5ff03f8f4b7fb",
@@ -36,6 +40,8 @@ def _case(name):
         return inst, ising.make_sampler("random", cfg), anneal.ScheduleConfig(steps=20)
     if name == "exact_n12":
         return qp.generate(12, 10.0, 1), ising.solve_exact, anneal.ScheduleConfig()
+    if name == "exact_n18":
+        return qp.generate(18, 5.0, 3), ising.solve_exact, anneal.ScheduleConfig(steps=5)
     cfg = ising.SamplerConfig(num_samples=8, inner_sweeps=5, seed=5)
     return qp.generate(12, 1.0, 2), ising.make_sampler("sa", cfg), anneal.ScheduleConfig()
 

@@ -82,10 +82,10 @@ def test_solve_exact_skips_nan_energies_and_raises_when_all_are_nan(monkeypatch)
     # in directly.
     m = _model({(0, 1): 1.0}, [0.0, 0.0])
     monkeypatch.setattr(
-        ising, "_batch_energies", lambda model, spins: np.array([np.nan, 3.0, np.nan, 1.0])
+        ising, "_energy_blocks", lambda model: iter([np.array([[np.nan, 3.0], [np.nan, 1.0]])])
     )
     np.testing.assert_array_equal(ising.solve_exact(m).best, [1.0, 1.0])
-    monkeypatch.setattr(ising, "_batch_energies", lambda model, spins: np.full(4, np.nan))
+    monkeypatch.setattr(ising, "_energy_blocks", lambda model: iter([np.full((2, 2), np.nan)]))
     with pytest.raises(ising.SamplerError, match="NaN"):
         ising.solve_exact(m)
 
@@ -113,12 +113,24 @@ def test_solve_exact_matches_independent_enumerator(rng):
 
 
 def test_solve_exact_chunked_path_analytic(rng):
-    # n=17 goes through the multi-chunk enumeration; with no couplings the
-    # ground state is -sign(h) with energy -sum |h|
+    # n=17 splits unevenly (8 + 9 spins); with no couplings the ground state
+    # is -sign(h) with energy -sum |h|
     h = rng.uniform(0.1, 1.0, size=17) * rng.choice([-1.0, 1.0], size=17)
     result = ising.solve_exact(_model({}, h))
     np.testing.assert_array_equal(result.best, -np.sign(h))
     assert result.best_energy == pytest.approx(-np.sum(np.abs(h)), abs=1e-9)
+
+
+def test_solve_exact_tie_across_blocks_keeps_first_state(rng):
+    # n=22 scores 2^22 states in four blocks of 2^20; with h[0] = 0 and no
+    # couplings both values of s[0] are ground states, and the s[0] = +1 half
+    # lies in later blocks, so only a strict comparison keeps s[0] = -1
+    h = rng.uniform(0.1, 1.0, size=22) * rng.choice([-1.0, 1.0], size=22)
+    h[0] = 0.0
+    result = ising.solve_exact(_model({}, h))
+    np.testing.assert_array_equal(result.best, np.r_[-1.0, -np.sign(h[1:])])
+    assert result.best_energy == pytest.approx(-np.sum(np.abs(h)), abs=1e-9)
+    assert result.num_samples == 1 << 22
 
 
 def test_solve_exact_refuses_above_cap():

@@ -1,4 +1,5 @@
-"""Property tests of the dense Ising models against the objective they encode."""
+"""Property tests of the dense Ising models against the objective they encode,
+of the exact sampler against an independent enumerator, and of the box."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from qesa import anneal, ising, qp
 
-from conftest import objective_oracle
+from conftest import enumerate_ground_state, objective_oracle
 
 coefficient = st.floats(-10.0, 10.0, allow_nan=False)
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -73,3 +74,70 @@ def test_couplings_round_trip_through_view_and_wire(case):
         assert other.J == model.J
         np.testing.assert_array_equal(other.W, model.W)
         np.testing.assert_array_equal(other.h, model.h)
+
+
+@st.composite
+def small_integer_models(draw, max_n=10):
+    """Models with small integer coefficients, so equal energies tie exactly."""
+    n = draw(st.integers(1, max_n))
+    small = st.integers(-2, 2).map(float)
+    couplings = {(i, j): draw(small) for i in range(n) for j in range(i + 1, n)}
+    h = draw(st.lists(small, min_size=n, max_size=n))
+    return couplings, h, draw(small)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_integer_models())
+def test_solve_exact_returns_the_first_ground_state(case):
+    # n from 1 to 10 covers both even and odd splits into the two half-tables
+    couplings, h, offset = case
+    result = ising.solve_exact(ising.IsingModel.from_couplings(len(h), couplings, h, offset))
+    oracle_s, oracle_e = enumerate_ground_state(couplings, h, offset)
+    np.testing.assert_array_equal(result.best, oracle_s)
+    assert result.best_energy == oracle_e
+    assert result.num_samples == 2 ** len(h)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_rescale_to_unit_box_round_trip(data):
+    inst = data.draw(instances())
+    n = inst.n
+    lower = np.array(data.draw(st.lists(coefficient, min_size=n, max_size=n)))
+    width = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    box = qp.rescale_to_unit_box(inst.Q, inst.c, lower, lower + width)
+    z = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    x = box.from_unit(z)
+    f_x = objective_oracle(inst.Q, inst.c, x)
+    f_unit = qp.objective(box.instance, z) + box.offset
+    # |x| <= 20, so |f(x)| <= 0.5 * sum|Q| * 20^2 + sum|c| * 20
+    assert _close(f_unit, f_x, np.abs(inst.Q).sum() * 200.0 + np.abs(inst.c).sum() * 20.0)
+    np.testing.assert_allclose(box.to_unit(x), z, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_clipped_proposal_stays_in_the_box(data):
+    n = data.draw(st.integers(1, 8))
+    x = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    s = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    k = data.draw(st.floats(0.0, 100.0))
+    proposal = np.clip(x + k * s, -1.0, 1.0)
+    assert np.all((proposal >= -1.0) & (proposal <= 1.0))
+    np.testing.assert_array_equal(proposal, qp.clip_to_box(x + k * s))
+    inside = np.abs(x + k * s) <= 1.0
+    np.testing.assert_array_equal(proposal[inside], (x + k * s)[inside])
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_perturbed_solve_stays_in_the_box(data):
+    # the perturbation policy draws direction entries anywhere in [-1, 1]
+    inst = data.draw(instances())
+    policy = anneal.DirectionPolicy(
+        retain_probability=data.draw(st.floats(0.0, 1.0)), seed=data.draw(st.integers(0, 99))
+    )
+    schedule = anneal.ScheduleConfig(steps=5, k0=data.draw(st.floats(0.01, 5.0)))
+    report = anneal.qesa_solve(inst, schedule=schedule, sampler=ising.solve_exact, policy=policy)
+    for point in (report.final_x, report.best_x):
+        assert np.all((np.asarray(point) >= -1.0) & (np.asarray(point) <= 1.0))
