@@ -22,8 +22,9 @@ from .baselines import (
     solve_projected_gradient,
     solve_random_search,
     solve_sa_baseline,
+    solve_seeded,
 )
-from .bench import ExperimentGrid, boundary_fraction, reference_solution, run_grid, sweep_p, sweep_steps
+from .bench import SOLVERS, ExperimentGrid, boundary_fraction, reference_solution, run_grid, sweep
 from .ising import (
     ENV_EXTERNAL_SAMPLER,
     ExternalSamplerError,

@@ -18,6 +18,7 @@ configurable interpolation between t_max and t_min indexed by step count.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -51,14 +52,14 @@ class ScheduleConfig:
     cooling: str = "exponential"
 
     def __post_init__(self):
-        if not (self.t_max >= self.t_min > 0):
+        if not (math.isfinite(self.t_max) and self.t_max >= self.t_min > 0):
             raise ValueError(
-                f"need t_max >= t_min > 0, got t_max={self.t_max}, t_min={self.t_min}"
+                f"need finite t_max >= t_min > 0, got t_max={self.t_max}, t_min={self.t_min}"
             )
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.k0 <= 0:
-            raise ValueError(f"k0 must be > 0, got {self.k0}")
+        if not 0 < self.k0 < math.inf:
+            raise ValueError(f"k0 must be finite and > 0, got {self.k0}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.cooling not in COOLING_FORMS:

@@ -12,9 +12,33 @@ from typing import Optional
 
 import numpy as np
 
-from .anneal import ScheduleConfig, SolveReport, init_ising, qesa_solve
+from .anneal import DirectionPolicy, ScheduleConfig, SolveReport, init_ising, qesa_solve
 from .ising import EXACT_SIZE_CAP, SamplerConfig, make_sampler, solve_exact
 from .qp import QpInstance, batch_objective, gradient, objective
+
+
+def solve_seeded(
+    inst: QpInstance,
+    backend: str,
+    schedule: Optional[ScheduleConfig] = None,
+    seed=None,
+    sampler_cfg: Optional[SamplerConfig] = None,
+    retain_p: Optional[float] = None,
+) -> SolveReport:
+    """``qesa_solve`` on the named sampler backend, driven by one seed.
+
+    ``SeedSequence(seed).spawn(3)`` gives the loop, sampler and direction-
+    policy seeds, so a solver tag run with the same seed is the same solve
+    from every entry point. ``seed`` is anything ``SeedSequence`` accepts,
+    such as an int or a tuple of ints. ``retain_p`` enables direction
+    perturbation with that retention probability.
+    """
+    loop_ss, sampler_ss, policy_ss = np.random.SeedSequence(seed).spawn(3)
+    cfg = replace(sampler_cfg if sampler_cfg is not None else SamplerConfig(), seed=sampler_ss)
+    policy = None if retain_p is None else DirectionPolicy(retain_p, seed=policy_ss)
+    return qesa_solve(
+        inst, schedule=schedule, sampler=make_sampler(backend, cfg), policy=policy, seed=loop_ss
+    )
 
 
 def solve_sa_baseline(
@@ -22,21 +46,15 @@ def solve_sa_baseline(
     schedule: Optional[ScheduleConfig] = None,
     seed=None,
     sampler_cfg: Optional[SamplerConfig] = None,
+    retain_p: Optional[float] = None,
 ) -> SolveReport:
     """Annealing loop with the classical Ising sampler for init and directions.
 
     This is the all-classical twin of the main solver: same outer loop, same
     subproblems, restarted single-spin-flip annealing instead of an exact or
-    external backend. One seed drives loop and sampler deterministically.
+    external backend; ``solve_seeded`` with the "sa" backend.
     """
-    loop_ss, sampler_ss = np.random.SeedSequence(seed).spawn(2)
-    cfg = replace(sampler_cfg if sampler_cfg is not None else SamplerConfig(), seed=sampler_ss)
-    return qesa_solve(
-        inst,
-        schedule=schedule,
-        sampler=make_sampler("sa", cfg),
-        seed=loop_ss,
-    )
+    return solve_seeded(inst, "sa", schedule, seed, sampler_cfg, retain_p)
 
 
 def solve_projected_gradient(

@@ -21,14 +21,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .anneal import DirectionPolicy, ScheduleConfig, SolveReport, qesa_solve
+# qesa_solve and solve_exact are not called here, but perfbench's tracer
+# patches them on this module, so they stay importable from it.
+from .anneal import ScheduleConfig, SolveReport, qesa_solve
 from .baselines import (
     solve_corner_exact,
     solve_projected_gradient,
     solve_random_search,
     solve_sa_baseline,
+    solve_seeded,
 )
-from .ising import EXACT_SIZE_CAP, SamplerConfig, make_sampler, solve_exact
+from .ising import EXACT_SIZE_CAP, SamplerConfig, solve_exact
 from .qp import QpInstance, batch_objective, generate, objective
 
 GRID_COLUMNS = (
@@ -47,29 +50,10 @@ GRID_COLUMNS = (
 
 TIMING_COLUMNS = ("wall_time_s", "sampler_time_s")
 
-SWEEP_STEPS_COLUMNS = (
-    "instance",
-    "n",
-    "diag_scale",
-    "seed",
-    "steps",
-    "best_f",
-    "wall_time_s",
-    "sampler_time_s",
-    "eval_count",
-)
+# grid instances up to this n are normalized by reference_solution
+EXACT_REFERENCE_MAX_N = 12
 
-SWEEP_P_COLUMNS = (
-    "instance",
-    "n",
-    "diag_scale",
-    "seed",
-    "p",
-    "best_f",
-    "wall_time_s",
-    "sampler_time_s",
-    "eval_count",
-)
+SAMPLER_BACKENDS = ("exact", "sa", "random", "external")
 
 
 @dataclass(frozen=True)
@@ -82,7 +66,6 @@ class ExperimentGrid:
     solvers: Sequence[str] = ("sa", "projected_gradient", "random_search")
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     sampler_cfg: SamplerConfig = field(default_factory=SamplerConfig)
-    exact_reference_max_n: int = 12
 
     def __post_init__(self):
         for name in ("dims", "diag_scales", "seeds", "solvers"):
@@ -95,64 +78,42 @@ class ExperimentGrid:
             )
 
 
-def _cell_seeds(base_seed, idx: int = 0) -> tuple[int, int, int]:
-    """Three decorrelated integer seeds derived from a base seed and an index."""
-    state = np.random.SeedSequence((int(base_seed), int(idx))).generate_state(3)
-    return int(state[0]), int(state[1]), int(state[2])
+def qesa_tag(backend: str) -> str:
+    """Solver tag of the QESA loop on a sampler backend; "sa" is the classical twin."""
+    if backend not in SAMPLER_BACKENDS:
+        raise ValueError(f"unknown sampler backend {backend!r}")
+    return "sa" if backend == "sa" else f"qesa_{backend}"
 
 
-def _run_qesa_exact(inst, schedule, seed, sampler_cfg) -> SolveReport:
-    return qesa_solve(inst, schedule=schedule, sampler=solve_exact, seed=seed)
-
-
-def _run_qesa_random(inst, schedule, seed, sampler_cfg) -> SolveReport:
-    loop_seed, sampler_seed, _ = _cell_seeds(seed)
-    cfg = replace(sampler_cfg, seed=sampler_seed)
-    return qesa_solve(
-        inst, schedule=schedule, sampler=make_sampler("random", cfg), seed=loop_seed
+def _qesa(backend: str):
+    return lambda inst, schedule, seed, cfg, retain_p=None: solve_seeded(
+        inst, backend, schedule, seed, cfg, retain_p
     )
 
 
-def _run_qesa_external(inst, schedule, seed, sampler_cfg) -> SolveReport:
-    return qesa_solve(
-        inst,
-        schedule=schedule,
-        sampler=make_sampler("external", sampler_cfg),
-        seed=seed,
-    )
-
-
-def _run_sa(inst, schedule, seed, sampler_cfg) -> SolveReport:
-    return solve_sa_baseline(inst, schedule=schedule, seed=seed, sampler_cfg=sampler_cfg)
-
-
-def _run_projected_gradient(inst, schedule, seed, sampler_cfg) -> SolveReport:
-    return solve_projected_gradient(inst, iters=schedule.steps, seed=seed)
-
-
-def _run_corner_exact(inst, schedule, seed, sampler_cfg) -> SolveReport:
-    return solve_corner_exact(inst)
-
-
-def _run_random_search(inst, schedule, seed, sampler_cfg) -> SolveReport:
-    # budget matches the annealing loop's objective-evaluation count
-    return solve_random_search(inst, budget=schedule.steps + 1, seed=seed)
-
-
-def _run_reference(inst, schedule, seed, sampler_cfg) -> SolveReport:
-    return reference_solution(inst)
-
-
+# Every solver is called as SOLVERS[tag](inst, schedule, seed, sampler_cfg);
+# the QESA tags also take retain_p. Names are looked up at call time, so a
+# function patched on this module is the one that runs.
 SOLVERS = {
-    "qesa_exact": _run_qesa_exact,
-    "qesa_random": _run_qesa_random,
-    "qesa_external": _run_qesa_external,
-    "sa": _run_sa,
-    "projected_gradient": _run_projected_gradient,
-    "corner_exact": _run_corner_exact,
-    "random_search": _run_random_search,
-    "reference": _run_reference,
+    "qesa_exact": _qesa("exact"),
+    "qesa_random": _qesa("random"),
+    "qesa_external": _qesa("external"),
+    "sa": lambda inst, schedule, seed, cfg, retain_p=None: solve_sa_baseline(
+        inst, schedule, seed, cfg, retain_p
+    ),
+    "projected_gradient": lambda inst, schedule, seed, cfg: solve_projected_gradient(
+        inst, iters=schedule.steps, seed=seed
+    ),
+    "corner_exact": lambda inst, schedule, seed, cfg: solve_corner_exact(inst),
+    # budget matches the annealing loop's objective-evaluation count
+    "random_search": lambda inst, schedule, seed, cfg: solve_random_search(
+        inst, budget=schedule.steps + 1, seed=seed
+    ),
+    "reference": lambda inst, schedule, seed, cfg: reference_solution(inst),
 }
+
+# the tags that run the QESA loop and take retain_p
+QESA_TAGS = tuple(qesa_tag(b) for b in SAMPLER_BACKENDS)
 
 
 def reference_solution(
@@ -254,8 +215,9 @@ def run_grid(
         for scale in grid.diag_scales
         for seed in grid.seeds
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_grid_cell, tasks))
     else:
         rows = [_run_grid_cell(t) for t in tasks]
@@ -277,7 +239,7 @@ def run_grid(
                 )
                 if ref_row is not None:
                     references[key] = ref_row["best_f"]
-                elif n <= grid.exact_reference_max_n:
+                elif n <= EXACT_REFERENCE_MAX_N:
                     references[key] = reference_solution(generate(n, scale, seed)).best_f
                 elif instance_rows:
                     references[key] = min(r["best_f"] for r in instance_rows)
@@ -312,58 +274,33 @@ def sweep(
 
     "steps" re-interpolates the schedule over each step count, temperature
     endpoints fixed; step-size decay keeps its per-step factor. "p" is the
-    direction retention probability. Loop and sampler seeds are paired
-    across values, so each instance sees common random numbers at every
-    value; only the direction-perturbation stream depends on p's policy.
+    direction retention probability. Each solve runs the registry tag of
+    ``sampler_backend`` with seed (base_seed, instance index), so each
+    instance sees common random numbers at every value.
     """
     if param not in ("steps", "p"):
         raise ValueError(f"sweep parameter must be 'steps' or 'p', got {param!r}")
     schedule = schedule if schedule is not None else ScheduleConfig()
-    sampler_cfg = sampler_cfg if sampler_cfg is not None else SamplerConfig()
+    columns = ("instance", "n", "diag_scale", "seed", param, "best_f", "wall_time_s",
+               "sampler_time_s", "eval_count")
+    solve = SOLVERS[qesa_tag(sampler_backend)]
     rows = []
     for idx, inst in enumerate(instances):
-        loop_seed, sampler_seed, policy_seed = _cell_seeds(base_seed, idx)
         meta = inst.meta or {}
         for value in values:
-            sched, policy = schedule, None
             if param == "steps":
-                if value < 1:
-                    raise ValueError(f"step counts must be >= 1, got {value}")
                 value = int(value)
-                sched = replace(schedule, steps=value)
+                report = solve(inst, replace(schedule, steps=value), (base_seed, idx), sampler_cfg)
             else:
                 value = float(value)
-                policy = DirectionPolicy(retain_probability=value, seed=policy_seed)
-            sampler = make_sampler(sampler_backend, replace(sampler_cfg, seed=sampler_seed))
-            report = qesa_solve(
-                inst, schedule=sched, sampler=sampler, policy=policy, seed=loop_seed
-            )
-            rows.append(
-                {
-                    "instance": idx,
-                    "n": inst.n,
-                    "diag_scale": meta.get("diag_scale"),
-                    "seed": meta.get("seed"),
-                    param: value,
-                    "best_f": report.best_f,
-                    "wall_time_s": report.wall_time_s,
-                    "sampler_time_s": report.sampler_time_s,
-                    "eval_count": report.eval_count,
-                }
-            )
+                report = solve(inst, schedule, (base_seed, idx), sampler_cfg, retain_p=value)
+            rows.append(dict(zip(columns, (
+                idx, inst.n, meta.get("diag_scale"), meta.get("seed"), value, report.best_f,
+                report.wall_time_s, report.sampler_time_s, report.eval_count,
+            ))))
     if out_path is not None:
-        write_csv(rows, SWEEP_STEPS_COLUMNS if param == "steps" else SWEEP_P_COLUMNS, out_path)
+        write_csv(rows, columns, out_path)
     return rows
-
-
-def sweep_steps(instances: Sequence[QpInstance], steps_list: Sequence[int], **kwargs) -> list[dict]:
-    """``sweep("steps", ...)``: one full solve per (instance, step count)."""
-    return sweep("steps", instances, steps_list, **kwargs)
-
-
-def sweep_p(instances: Sequence[QpInstance], p_list: Sequence[float], **kwargs) -> list[dict]:
-    """``sweep("p", ...)``: one full solve per (instance, retention probability)."""
-    return sweep("p", instances, p_list, **kwargs)
 
 
 def _format_cell(value) -> str:
@@ -384,10 +321,6 @@ def write_csv(rows: Sequence[dict], columns: Sequence[str], path, delimiter: str
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row.get(col)) for col in columns])
-
-
-def write_tsv(rows: Sequence[dict], columns: Sequence[str], path) -> None:
-    write_csv(rows, columns, path, delimiter="\t")
 
 
 def median_table(
@@ -414,16 +347,18 @@ def write_plot_tables(grid_rows: Sequence[dict], out_dir) -> None:
     by_scale = median_table(
         grid_rows, ["solver", "diag_scale"], ["best_f", "normalized_f", "abs_gap"]
     )
-    write_tsv(
+    write_csv(
         by_scale,
         ("solver", "diag_scale", "best_f", "normalized_f", "abs_gap"),
         os.path.join(out_dir, "plot_by_scale.tsv"),
+        delimiter="\t",
     )
     by_n = median_table(
         grid_rows, ["solver", "n"], ["best_f", "wall_time_s", "sampler_time_s"]
     )
-    write_tsv(
+    write_csv(
         by_n,
         ("solver", "n", "best_f", "wall_time_s", "sampler_time_s"),
         os.path.join(out_dir, "plot_by_n.tsv"),
+        delimiter="\t",
     )

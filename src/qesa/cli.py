@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from . import anneal, baselines, bench, ising, qp
+from . import anneal, bench, ising, qp
 
 
 def _positive_int(text: str) -> int:
@@ -30,8 +31,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -49,6 +50,13 @@ def _int_list(text: str) -> list[int]:
             out.append(int(part))
     if not out:
         raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return out
+
+
+def _positive_int_list(text: str) -> list[int]:
+    out = _int_list(text)
+    if min(out) < 1:
+        raise argparse.ArgumentTypeError(f"values must be >= 1, got {min(out)}")
     return out
 
 
@@ -140,11 +148,10 @@ def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampler-timeout", type=_positive_float, default=60.0)
 
 
-def _sampler_cfg_from(args, seed=None) -> ising.SamplerConfig:
+def _sampler_cfg_from(args) -> ising.SamplerConfig:
     return ising.SamplerConfig(
         num_samples=args.num_samples,
         inner_sweeps=args.inner_sweeps,
-        seed=seed,
         command=args.sampler_cmd,
         timeout_s=args.sampler_timeout,
     )
@@ -169,19 +176,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance")
     p_solve.add_argument(
-        "--solver",
-        choices=("qesa", "sa", "projected_gradient", "corner_exact", "random_search"),
-        default="qesa",
+        "--solver", choices=("qesa", *bench.SOLVERS), default="qesa",
+        help="a solver tag; qesa means the tag of --sampler (qesa_<sampler>, or sa)",
     )
     p_solve.add_argument(
-        "--sampler", choices=("exact", "sa", "random", "external"), default="sa",
+        "--sampler", choices=bench.SAMPLER_BACKENDS, default="sa",
         help="Ising backend for the qesa solver",
     )
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--retain-p", type=_probability, default=None,
-                         help="direction retention probability (enables perturbation)")
-    p_solve.add_argument("--budget", type=_positive_int, default=None,
-                         help="random_search evaluation budget (default: steps + 1)")
+                         help="direction retention probability (enables perturbation; "
+                         f"tags {', '.join(bench.QESA_TAGS)})")
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
     p_solve.add_argument("-o", "--out", default=None, help="also write report JSON here")
     _add_schedule_flags(p_solve)
@@ -189,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p_solve)
 
     p_bench = sub.add_parser("bench", help="run a solver comparison grid")
-    p_bench.add_argument("--dims", type=_int_list, default=[12])
+    p_bench.add_argument("--dims", type=_positive_int_list, default=[12])
     p_bench.add_argument("--scales", type=_float_list, default=[1.0, 5.0, 10.0, 20.0])
     p_bench.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
     p_bench.add_argument(
@@ -209,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_steps.add_argument("-n", "--dim", type=_positive_int, default=12)
     p_steps.add_argument("--scale", type=_positive_float, default=20.0)
     p_steps.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
-    p_steps.add_argument("--steps-list", type=_int_list,
+    p_steps.add_argument("--steps-list", type=_positive_int_list,
                          default=[5, 10, 20, 40, 60, 80, 100])
     p_steps.add_argument("--sampler", choices=("exact", "sa", "random"), default="exact")
     p_steps.add_argument("--base-seed", type=int, default=0)
@@ -241,40 +246,20 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args, parser) -> int:
-    if args.solver == "qesa" and args.sampler == "external":
-        if not (args.sampler_cmd or os.environ.get(ising.ENV_EXTERNAL_SAMPLER)):
-            parser.error(
-                "--sampler external needs a command: set the "
-                f"{ising.ENV_EXTERNAL_SAMPLER} environment variable or pass --sampler-cmd"
-            )
+    tag = bench.qesa_tag(args.sampler) if args.solver == "qesa" else args.solver
+    command = args.sampler_cmd or os.environ.get(ising.ENV_EXTERNAL_SAMPLER)
+    if tag == "qesa_external" and not command:
+        parser.error(
+            "the external sampler needs a command: set the "
+            f"{ising.ENV_EXTERNAL_SAMPLER} environment variable or pass --sampler-cmd"
+        )
+    extra = {}
+    if args.retain_p is not None:
+        if tag not in bench.QESA_TAGS:
+            parser.error(f"--retain-p applies to {', '.join(bench.QESA_TAGS)}, not {tag}")
+        extra["retain_p"] = args.retain_p
     inst = qp.load(args.instance)
-    schedule = args.schedule
-    if args.solver == "qesa":
-        cfg = _sampler_cfg_from(args, seed=args.seed + 1)
-        policy = None
-        if args.retain_p is not None:
-            policy = anneal.DirectionPolicy(retain_probability=args.retain_p,
-                                            seed=args.seed + 2)
-        report = anneal.qesa_solve(
-            inst,
-            schedule=schedule,
-            sampler=ising.make_sampler(args.sampler, cfg),
-            policy=policy,
-            seed=args.seed,
-        )
-    elif args.solver == "sa":
-        report = baselines.solve_sa_baseline(
-            inst, schedule=schedule, seed=args.seed, sampler_cfg=_sampler_cfg_from(args)
-        )
-    elif args.solver == "projected_gradient":
-        report = baselines.solve_projected_gradient(
-            inst, iters=args.steps, seed=args.seed
-        )
-    elif args.solver == "corner_exact":
-        report = baselines.solve_corner_exact(inst)
-    else:  # random_search
-        budget = args.budget if args.budget is not None else args.steps + 1
-        report = baselines.solve_random_search(inst, budget=budget, seed=args.seed)
+    report = bench.SOLVERS[tag](inst, args.schedule, args.seed, _sampler_cfg_from(args), **extra)
 
     fraction = bench.boundary_fraction(report)
     doc = report.to_json_dict()
@@ -318,17 +303,13 @@ def _cmd_bench(args, parser) -> int:
     return 0
 
 
-def _instances_for_sweep(args) -> list:
-    return [qp.generate(args.dim, args.scale, seed) for seed in args.seeds]
-
-
 def _cmd_sweep(args) -> int:
     column = "steps" if args.command == "sweep-steps" else "p"
     os.makedirs(args.out_dir, exist_ok=True)
     out_csv = os.path.join(args.out_dir, f"sweep_{column}.csv")
     rows = bench.sweep(
         column,
-        _instances_for_sweep(args),
+        [qp.generate(args.dim, args.scale, seed) for seed in args.seeds],
         args.steps_list if column == "steps" else args.p_list,
         out_path=out_csv,
         schedule=args.schedule,
@@ -337,8 +318,8 @@ def _cmd_sweep(args) -> int:
         base_seed=args.base_seed,
     )
     medians = bench.median_table(rows, [column], ["best_f"])
-    bench.write_tsv(medians, (column, "best_f"),
-                    os.path.join(args.out_dir, f"plot_by_{column}.tsv"))
+    bench.write_csv(medians, (column, "best_f"),
+                    os.path.join(args.out_dir, f"plot_by_{column}.tsv"), delimiter="\t")
     print(f"wrote {out_csv} ({len(rows)} rows)")
     return 0
 

@@ -156,7 +156,7 @@ def load(path) -> QpInstance:
             f"{path}: unsupported format version {doc['version']!r}"
         )
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InstanceFormatError(f"{path}: n must be a positive integer, got {n!r}")
     try:
         q = np.array(doc["Q"], dtype=float)

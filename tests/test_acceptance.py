@@ -185,7 +185,7 @@ def test_c08_step_sweep_trend():
     t0 = time.perf_counter()
     instances = [qp.generate(12, 20.0, seed) for seed in range(20)]
     steps_list = (5, 10, 20, 40, 60, 80, 100)
-    rows = bench.sweep_steps(instances, steps_list, base_seed=0)
+    rows = bench.sweep("steps", instances, steps_list, base_seed=0)
     meds = {
         s: median(r["best_f"] for r in rows if r["steps"] == s) for s in steps_list
     }
@@ -204,7 +204,7 @@ def test_c08_step_sweep_trend():
 def test_c09_p_sweep_trend():
     t0 = time.perf_counter()
     instances = [qp.generate(12, 1.0, seed) for seed in range(20)]
-    rows = bench.sweep_p(instances, [0.0, 1.0], base_seed=0)
+    rows = bench.sweep("p", instances, [0.0, 1.0], base_seed=0)
     med = {
         p: median(r["best_f"] for r in rows if r["p"] == p) for p in (0.0, 1.0)
     }

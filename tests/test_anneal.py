@@ -23,6 +23,16 @@ def test_schedule_validation():
     anneal.ScheduleConfig(t_max=1e-12, t_min=1e-12)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("t_max", float("inf")), ("t_max", float("nan")), ("t_min", float("nan")),
+     ("k0", float("inf")), ("k0", float("nan")), ("alpha", float("nan"))],
+)
+def test_schedule_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        anneal.ScheduleConfig(**{field: value})
+
+
 def test_temperature_endpoints_exact():
     cfg = anneal.ScheduleConfig()
     assert anneal.temperature(cfg, 0) == 1000.0

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from statistics import median
 
 import numpy as np
@@ -58,6 +59,29 @@ def test_grid_parallel_matches_serial():
     serial = _strip_timing(bench.run_grid(grid, jobs=1))
     parallel = _strip_timing(bench.run_grid(grid, jobs=2))
     assert serial == parallel
+
+
+def test_grid_pool_has_at_most_one_worker_per_cell(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    grid = _fast_grid(solvers=("random_search",))
+    assert len(bench.run_grid(grid, jobs=64)) == 2
+    assert len(bench.run_grid(replace(grid, seeds=(0,)), jobs=64)) == 1
+    assert sizes == [2]  # a single cell runs in this process
 
 
 def test_grid_records_failures_without_aborting():
@@ -120,8 +144,8 @@ def _instances(n, scale, seeds):
 
 def test_sweep_steps_cardinality_and_single_step(tmp_path):
     instances = _instances(6, 5.0, range(3))
-    rows = bench.sweep_steps(
-        instances, [1, 5], out_path=tmp_path / "steps.csv",
+    rows = bench.sweep(
+        "steps", instances, [1, 5], out_path=tmp_path / "steps.csv",
         schedule=anneal.ScheduleConfig(),
     )
     assert len(rows) == 6
@@ -134,7 +158,7 @@ def test_sweep_steps_cardinality_and_single_step(tmp_path):
 
 def test_sweep_steps_more_steps_do_not_hurt_on_convex_instances():
     instances = _instances(8, 20.0, range(10))
-    rows = bench.sweep_steps(instances, [5, 100])
+    rows = bench.sweep("steps", instances, [5, 100])
     by_steps = {
         s: median(r["best_f"] for r in rows if r["steps"] == s) for s in (5, 100)
     }
@@ -143,20 +167,28 @@ def test_sweep_steps_more_steps_do_not_hurt_on_convex_instances():
 
 def test_sweep_p_full_retention_matches_plain_solve():
     instances = _instances(7, 1.0, range(3))
-    rows = bench.sweep_p(instances, [1.0], base_seed=5)
+    rows = bench.sweep("p", instances, [1.0], base_seed=5)
     for idx, inst in enumerate(instances):
-        loop_seed, _, _ = bench._cell_seeds(5, idx)
-        plain = anneal.qesa_solve(inst, sampler=ising.solve_exact, seed=loop_seed)
+        plain = bench.SOLVERS["qesa_exact"](inst, anneal.ScheduleConfig(), (5, idx), None)
         assert rows[idx]["best_f"] == plain.best_f
+
+
+def test_sweep_rejects_unknown_parameter_and_backend():
+    instances = _instances(4, 1.0, range(1))
+    with pytest.raises(ValueError, match="sweep parameter"):
+        bench.sweep("alpha", instances, [0.5])
+    with pytest.raises(ValueError, match="unknown sampler backend"):
+        bench.sweep("steps", instances, [5], sampler_backend="quantum")
 
 
 def test_sweep_p_cardinality(tmp_path):
     instances = _instances(6, 1.0, range(2))
-    rows = bench.sweep_p(instances, [0.0, 0.5, 1.0], out_path=tmp_path / "p.csv")
+    rows = bench.sweep("p", instances, [0.0, 0.5, 1.0], out_path=tmp_path / "p.csv")
     assert len(rows) == 6
     with open(tmp_path / "p.csv") as fh:
         header = next(csv.reader(fh))
-        assert header == list(bench.SWEEP_P_COLUMNS)
+        assert header == ["instance", "n", "diag_scale", "seed", "p", "best_f",
+                          "wall_time_s", "sampler_time_s", "eval_count"]
 
 
 def test_median_table_groups_and_orders():

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from qesa import cli, qp
+from qesa import anneal, bench, cli, ising, qp
 
 from conftest import fake_sampler_cmd
 
@@ -123,6 +123,78 @@ def test_retention_probability_outside_unit_interval_is_usage_error(
     assert err.value.code == 2
     assert "retain_probability must be in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--t-max", "1e400"], ["--t-max", "inf"], ["--t-min", "nan"], ["--k0", "inf"],
+     ["--k0", "nan"]],
+)
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["solve", str(_write_trivial_instance(tmp_path)), *flags])
+    assert err.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("sweep-steps", ["--steps-list", "0"]), ("sweep-steps", ["--steps-list", "5,-1"]),
+     ("bench", ["--dims", "0"]), ("bench", ["--dims", "6,0"])],
+)
+def test_non_positive_list_entries_are_usage_errors(tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "-o", str(out), *flags])
+    assert err.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["random_search", "projected_gradient", "reference"])
+def test_retain_p_on_a_tag_without_directions_is_usage_error(tmp_path, capsys, solver):
+    path = _write_trivial_instance(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["solve", str(path), "--solver", solver, "--retain-p", "0.5"])
+    assert err.value.code == 2
+    assert "--retain-p" in capsys.readouterr().err
+
+
+def test_solve_reproduces_the_grid_row_of_every_solver_tag(tmp_path, capsys):
+    n, scale, seed = 6, 5.0, 3
+    command = fake_sampler_cmd("exact")
+    grid = bench.ExperimentGrid(
+        dims=(n,), diag_scales=(scale,), seeds=(seed,), solvers=tuple(bench.SOLVERS),
+        schedule=anneal.ScheduleConfig(steps=5),
+        sampler_cfg=ising.SamplerConfig(num_samples=8, inner_sweeps=5, command=command),
+    )
+    rows = {row["solver"]: row for row in bench.run_grid(grid)}
+    path = tmp_path / "inst.json"
+    cli.main(["generate", "-n", str(n), "--scale", str(scale), "--seed", str(seed),
+              "-o", str(path)])
+    for tag in bench.SOLVERS:
+        capsys.readouterr()
+        code = cli.main([
+            "solve", str(path), "--solver", tag, "--seed", str(seed), "--json",
+            "--steps", "5", "--num-samples", "8", "--inner-sweeps", "5",
+            "--sampler-cmd", command,
+        ])
+        assert code == 0, tag
+        assert rows[tag]["error"] == "", tag
+        assert json.loads(capsys.readouterr().out)["best_f"] == rows[tag]["best_f"], tag
+
+
+@pytest.mark.parametrize("extra", [[], ["--retain-p", "0.5"]])
+def test_solver_sa_is_qesa_with_the_sa_sampler(tmp_path, capsys, extra):
+    path = tmp_path / "inst.json"
+    cli.main(["generate", "-n", "8", "--scale", "5", "--seed", "2", "-o", str(path)])
+    docs = []
+    for flags in (["--solver", "sa"], ["--solver", "qesa", "--sampler", "sa"]):
+        capsys.readouterr()
+        assert cli.main(["solve", str(path), *flags, "--seed", "4", "--json", *extra, *FAST]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        docs.append({k: v for k, v in doc.items() if k not in bench.TIMING_COLUMNS})
+    assert docs[0] == docs[1]
 
 
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Golden outputs of fixed-seed solves.
 
 Each case pins ``best_f`` (as a float hex string) and the SHA-256 of
-``best_x.tobytes()`` for one seeded ``qesa_solve``. A refactor that is meant
+``best_x.tobytes()`` for one seeded ``qesa_solve`` or one seeded solver
+entry point. A refactor that is meant
 to keep behaviour must leave every pin unchanged; a deliberate behaviour
 change updates the pins and says why. The values were captured with numpy
 2.4 on OpenBLAS (x86-64); another BLAS may round matrix products differently.
@@ -11,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qesa import anneal, ising, qp
+from qesa import anneal, baselines, bench, ising, qp
 
 GOLDEN = {
     "random_n150": (
@@ -32,6 +33,32 @@ GOLDEN = {
     ),
 }
 
+# solver entry points on qp.generate(12, 5.0, 4), default schedule, seed 7,
+# 8 reads x 5 sweeps; the registry keys are bench.SOLVERS tags
+SOLVER_GOLDEN = {
+    "solve_sa_baseline": (
+        "-0x1.ab9992f7a8091p+3",
+        "7bd2e6e4088690c3923dbd127c4c4ab850b0bb9c80081d2edae34c0a5ddf8e78",
+    ),
+    "qesa_exact": (
+        "-0x1.d21f9278848a9p+3",
+        "b5957b5989e40729c39df74add1d7450d38b03ede8bc44db4cc81deaffeea0db",
+    ),
+    "projected_gradient": (
+        "-0x1.9407c821c8f27p+3",
+        "20e6a5e4c7e9af3b17d5f75000507832cdb1d32fb3b2bdc15e9b5349fa6eee9f",
+    ),
+    "random_search": (
+        "-0x1.b7f5cc243edacp+2",
+        "479dbad0fe54fc00c68184423a2ac283821b92baf1861ece97f72afea9f9cccd",
+    ),
+}
+
+
+def _pin(report):
+    best_x = np.asarray(report.best_x, dtype=float)
+    return report.best_f.hex(), hashlib.sha256(best_x.tobytes()).hexdigest()
+
 
 def _case(name):
     if name == "random_n150":
@@ -50,5 +77,12 @@ def _case(name):
 def test_fixed_seed_solve_is_bit_identical(name):
     inst, sampler, schedule = _case(name)
     report = anneal.qesa_solve(inst, schedule=schedule, sampler=sampler, seed=7)
-    best_x = np.asarray(report.best_x, dtype=float)
-    assert (report.best_f.hex(), hashlib.sha256(best_x.tobytes()).hexdigest()) == GOLDEN[name]
+    assert _pin(report) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_GOLDEN))
+def test_fixed_seed_solver_entry_point_is_bit_identical(name):
+    solve = baselines.solve_sa_baseline if name == "solve_sa_baseline" else bench.SOLVERS[name]
+    cfg = ising.SamplerConfig(num_samples=8, inner_sweeps=5)
+    report = solve(qp.generate(12, 5.0, 4), anneal.ScheduleConfig(), 7, cfg)
+    assert _pin(report) == SOLVER_GOLDEN[name]

@@ -195,6 +195,12 @@ def test_load_rejects_missing_field_and_bad_json(tmp_path):
         qp.load(path)
 
 
+def test_load_rejects_boolean_dimension(tmp_path):
+    doc = {"version": 1, "n": True, "Q": [[1.0]], "c": [0.0], "meta": None}
+    with pytest.raises(qp.InstanceFormatError, match="n must be a positive integer"):
+        qp.load(_write_doc(tmp_path, doc))
+
+
 def test_load_rejects_unknown_version(tmp_path):
     doc = {"version": 99, "n": 1, "Q": [[1.0]], "c": [0.0], "meta": None}
     with pytest.raises(qp.InstanceFormatError, match="version"):
