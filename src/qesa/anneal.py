@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ising import IsingModel, SampleResult
-from .qp import QpInstance, objective
+from .qp import QpInstance, clip_to_box, objective
 
 COOLING_FORMS = ("exponential", "linear")
 
@@ -197,14 +197,16 @@ def qesa_solve(
     policy: Optional[DirectionPolicy] = None,
     seed=None,
     record_trajectory: bool = False,
+    init_sampler: Optional[Callable[[IsingModel], SampleResult]] = None,
 ) -> SolveReport:
     """Run the full annealing loop on one instance.
 
     ``sampler`` is any callable mapping an IsingModel to a SampleResult (see
-    ``qesa.ising.make_sampler``). The corner found at initialization is
-    accepted unconditionally; every later proposal is clipped into the box
-    before the Metropolis decision on the true objective change. The result
-    is deterministic given (seed, sampler seeding, policy seed).
+    ``qesa.ising.make_sampler``); ``init_sampler`` (default ``sampler``)
+    solves the corner model. The corner found at initialization is accepted
+    unconditionally; every later proposal is clipped into the box before the
+    Metropolis decision on the true objective change. The result is
+    deterministic given (seed, sampler seeding, policy seed).
     """
     if sampler is None:
         raise ValueError("a sampler backend is required (see qesa.ising.make_sampler)")
@@ -216,7 +218,7 @@ def qesa_solve(
     t0 = time.perf_counter()
 
     try:
-        init_result = sampler(init_ising(inst))
+        init_result = (sampler if init_sampler is None else init_sampler)(init_ising(inst))
     except Exception as exc:
         raise SolveError(f"sampler failed during corner initialization: {exc}") from exc
     sampler_time = init_result.sampler_time
@@ -240,7 +242,7 @@ def qesa_solve(
         direction = np.asarray(result.best, dtype=float)
         if policy is not None:
             direction = perturb_direction(direction, policy, perturb_rng)
-        proposal = np.clip(x + k * direction, -1.0, 1.0)
+        proposal = clip_to_box(x + k * direction)
         f_new = objective(inst, proposal)
         eval_count += 1
         accepted = metropolis_accept(f_new - f_x, T, rng)

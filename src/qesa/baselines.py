@@ -24,6 +24,7 @@ def solve_seeded(
     seed=None,
     sampler_cfg: Optional[SamplerConfig] = None,
     retain_p: Optional[float] = None,
+    init_backend: Optional[str] = None,
 ) -> SolveReport:
     """``qesa_solve`` on the named sampler backend, driven by one seed.
 
@@ -31,14 +32,15 @@ def solve_seeded(
     policy seeds, so a solver tag run with the same seed is the same solve
     from every entry point. ``seed`` is anything ``SeedSequence`` accepts,
     such as an int or a tuple of ints. ``retain_p`` enables direction
-    perturbation with that retention probability.
+    perturbation with that retention probability. ``init_backend``, default
+    ``backend``, solves the corner model, with the same sampler seed.
     """
     loop_ss, sampler_ss, policy_ss = np.random.SeedSequence(seed).spawn(3)
     cfg = replace(sampler_cfg if sampler_cfg is not None else SamplerConfig(), seed=sampler_ss)
     policy = None if retain_p is None else DirectionPolicy(retain_p, seed=policy_ss)
-    return qesa_solve(
-        inst, schedule=schedule, sampler=make_sampler(backend, cfg), policy=policy, seed=loop_ss
-    )
+    init_sampler = None if init_backend is None else make_sampler(init_backend, cfg)
+    return qesa_solve(inst, schedule=schedule, sampler=make_sampler(backend, cfg), policy=policy,
+                      seed=loop_ss, init_sampler=init_sampler)
 
 
 def solve_sa_baseline(

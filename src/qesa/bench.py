@@ -85,9 +85,9 @@ def qesa_tag(backend: str) -> str:
     return "sa" if backend == "sa" else f"qesa_{backend}"
 
 
-def _qesa(backend: str):
+def _qesa(backend: str, init_backend: Optional[str] = None):
     return lambda inst, schedule, seed, cfg, retain_p=None: solve_seeded(
-        inst, backend, schedule, seed, cfg, retain_p
+        inst, backend, schedule, seed, cfg, retain_p, init_backend
     )
 
 
@@ -98,6 +98,8 @@ SOLVERS = {
     "qesa_exact": _qesa("exact"),
     "qesa_random": _qesa("random"),
     "qesa_external": _qesa("external"),
+    # sa corner, exact steps: runs above EXACT_SIZE_CAP while steps stay fixable
+    "qesa_sa_exact": _qesa("exact", init_backend="sa"),
     "sa": lambda inst, schedule, seed, cfg, retain_p=None: solve_sa_baseline(
         inst, schedule, seed, cfg, retain_p
     ),
@@ -113,7 +115,7 @@ SOLVERS = {
 }
 
 # the tags that run the QESA loop and take retain_p
-QESA_TAGS = tuple(qesa_tag(b) for b in SAMPLER_BACKENDS)
+QESA_TAGS = tuple(qesa_tag(b) for b in SAMPLER_BACKENDS) + ("qesa_sa_exact",)
 
 
 def reference_solution(

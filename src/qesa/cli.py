@@ -110,7 +110,10 @@ def _expand_config(argv: list[str]) -> list[str]:
         path = argv[i].split("=", 1)[1]
         rest = argv[:i] + argv[i + 1 :]
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object of flag values")
     extra: list[str] = []
@@ -330,9 +333,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         argv = _expand_config(list(argv))
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # the file's content is a usage error
+        parser.error(str(exc))  # exits with status 2
     args = parser.parse_args(argv)
     if args.command != "generate":
         try:

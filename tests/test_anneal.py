@@ -315,3 +315,31 @@ def test_report_json_round_trip():
     assert len(doc["trajectory"]) == report.steps
     plain = anneal.qesa_solve(inst, sampler=ising.solve_exact, seed=0)
     assert "trajectory" not in plain.to_json_dict()
+
+
+def test_init_sampler_solves_the_corner_and_exact_steps_run_above_the_cap():
+    inst = qp.generate(40, 1.0, 0)
+    corner_calls = []
+
+    def corner(model):
+        corner_calls.append(model.n)
+        return ising.solve_classical_sa(model, ising.SamplerConfig(num_samples=8, inner_sweeps=5, seed=0))
+
+    with pytest.raises(anneal.SolveError, match="initialization"):
+        anneal.qesa_solve(inst, sampler=ising.solve_exact, seed=0)  # 40 free corner spins
+    report = anneal.qesa_solve(
+        inst, anneal.ScheduleConfig(steps=10), sampler=ising.solve_exact, seed=0, init_sampler=corner
+    )
+    assert corner_calls == [40]
+    assert report.eval_count == 11
+    assert np.all(np.abs(report.best_x) <= 1.0)
+
+
+def test_exact_step_with_too_many_free_spins_raises_the_cap_error():
+    # with k0 = 1 the first step models are nearly the corner model: few spins are dominated
+    inst = qp.generate(30, 20.0, 0)
+    sa = ising.make_sampler("sa", ising.SamplerConfig(num_samples=8, inner_sweeps=5, seed=0))
+    with pytest.raises(anneal.SolveError, match=r"step \d+: .* m=2\d of n=30 exceeds the cap of 24") as err:
+        anneal.qesa_solve(inst, anneal.ScheduleConfig(k0=1.0, steps=3),
+                          sampler=ising.solve_exact, seed=0, init_sampler=sa)
+    assert isinstance(err.value.__cause__, ValueError)

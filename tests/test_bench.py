@@ -209,3 +209,11 @@ def test_write_plot_tables(tmp_path):
     assert by_scale[0].split("\t")[0] == "solver"
     assert len(by_scale) == 4  # header + 3 solvers at one scale
     assert (tmp_path / "plot_by_n.tsv").exists()
+
+
+def test_sa_corner_with_exact_steps_runs_where_the_exact_corner_is_refused():
+    rows = bench.run_grid(_fast_grid(dims=(40,), seeds=(0,), solvers=("qesa_exact", "qesa_sa_exact")))
+    by_solver = {row["solver"]: row for row in rows}
+    assert "exceeds the cap" in by_solver["qesa_exact"]["error"]
+    assert by_solver["qesa_sa_exact"]["error"] == ""
+    assert by_solver["qesa_sa_exact"]["eval_count"] == 16

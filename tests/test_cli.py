@@ -287,9 +287,12 @@ def test_config_file_errors(tmp_path, capsys):
     assert cli.main(["solve", str(inst), "--config", str(tmp_path / "missing.json")]) == 1
     assert "error:" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps([1, 2, 3]))
-    assert cli.main(["solve", str(inst), "--config", str(bad)]) == 1
-    assert "JSON object" in capsys.readouterr().err
+    for content, message in ((json.dumps([1, 2, 3]), "JSON object"), ("{bad", "not valid JSON")):
+        bad.write_text(content)
+        with pytest.raises(SystemExit) as err:  # the file's content is a usage error
+            cli.main(["solve", str(inst), "--config", str(bad)])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_sweep_p_cli(tmp_path, capsys):

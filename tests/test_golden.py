@@ -80,6 +80,13 @@ def test_fixed_seed_solve_is_bit_identical(name):
     assert _pin(report) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_init_sampler_defaults_to_sampler(name):
+    inst, sampler, schedule = _case(name)
+    report = anneal.qesa_solve(inst, schedule=schedule, sampler=sampler, seed=7, init_sampler=sampler)
+    assert _pin(report) == GOLDEN[name]
+
+
 @pytest.mark.parametrize("name", sorted(SOLVER_GOLDEN))
 def test_fixed_seed_solver_entry_point_is_bit_identical(name):
     solve = baselines.solve_sa_baseline if name == "solve_sa_baseline" else bench.SOLVERS[name]

@@ -82,10 +82,10 @@ def test_solve_exact_skips_nan_energies_and_raises_when_all_are_nan(monkeypatch)
     # in directly.
     m = _model({(0, 1): 1.0}, [0.0, 0.0])
     monkeypatch.setattr(
-        ising, "_energy_blocks", lambda model: iter([np.array([[np.nan, 3.0], [np.nan, 1.0]])])
+        ising, "_energy_blocks", lambda w, h, offset: iter([np.array([[np.nan, 3.0], [np.nan, 1.0]])])
     )
     np.testing.assert_array_equal(ising.solve_exact(m).best, [1.0, 1.0])
-    monkeypatch.setattr(ising, "_energy_blocks", lambda model: iter([np.full((2, 2), np.nan)]))
+    monkeypatch.setattr(ising, "_energy_blocks", lambda w, h, offset: iter([np.full((2, 2), np.nan)]))
     with pytest.raises(ising.SamplerError, match="NaN"):
         ising.solve_exact(m)
 
@@ -112,25 +112,68 @@ def test_solve_exact_matches_independent_enumerator(rng):
         assert result.num_samples == 4096
 
 
+def _tree_model(rng, n):
+    """No fields and integer couplings on a random spanning tree, so no spin is
+    dominated. A tree is unfrustrated: its two ground states s and -s satisfy
+    every bond, s_i = -sign(J_pi) s_p, with energy -sum |J| exactly; the
+    lexicographically first has s[0] = -1."""
+    couplings, s = {}, np.empty(n)
+    s[0] = -1.0
+    for i in range(1, n):
+        p = int(rng.integers(0, i))
+        couplings[(p, i)] = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
+        s[i] = -np.sign(couplings[(p, i)]) * s[p]
+    return _model(couplings, np.zeros(n)), s, -sum(abs(v) for v in couplings.values())
+
+
 def test_solve_exact_chunked_path_analytic(rng):
-    # n=17 splits unevenly (8 + 9 spins); with no couplings the ground state
-    # is -sign(h) with energy -sum |h|
-    h = rng.uniform(0.1, 1.0, size=17) * rng.choice([-1.0, 1.0], size=17)
-    result = ising.solve_exact(_model({}, h))
-    np.testing.assert_array_equal(result.best, -np.sign(h))
-    assert result.best_energy == pytest.approx(-np.sum(np.abs(h)), abs=1e-9)
+    # n=17 splits unevenly (8 + 9 spins), and the tree's bonds cross the split
+    model, ground, ground_e = _tree_model(rng, 17)
+    result = ising.solve_exact(model)
+    np.testing.assert_array_equal(result.best, ground)
+    assert result.best_energy == ground_e
 
 
 def test_solve_exact_tie_across_blocks_keeps_first_state(rng):
-    # n=22 scores 2^22 states in four blocks of 2^20; with h[0] = 0 and no
-    # couplings both values of s[0] are ground states, and the s[0] = +1 half
-    # lies in later blocks, so only a strict comparison keeps s[0] = -1
-    h = rng.uniform(0.1, 1.0, size=22) * rng.choice([-1.0, 1.0], size=22)
-    h[0] = 0.0
-    result = ising.solve_exact(_model({}, h))
-    np.testing.assert_array_equal(result.best, np.r_[-1.0, -np.sign(h[1:])])
-    assert result.best_energy == pytest.approx(-np.sum(np.abs(h)), abs=1e-9)
+    # n=22 scores 2^22 states in four blocks of 2^20; the ground state -s with
+    # s[0] = +1 ties exactly with s and lies in later blocks, so only a strict
+    # comparison across blocks keeps s[0] = -1
+    model, ground, ground_e = _tree_model(rng, 22)
+    result = ising.solve_exact(model)
+    np.testing.assert_array_equal(result.best, ground)
+    assert result.best_energy == ground_e
     assert result.num_samples == 1 << 22
+
+
+def test_solve_exact_fixes_dominated_spins_without_enumerating(rng, monkeypatch):
+    # every |h_i| exceeds its row's coupling sum, so each spin is -sign(h_i),
+    # far above the cap and with no state scored
+    w = rng.uniform(-1.0, 1.0, size=(200, 200))
+    w = np.triu(w, 1) + np.triu(w, 1).T
+    h = (np.abs(w).sum(1) + 0.5) * rng.choice([-1.0, 1.0], size=200)
+    model = ising.IsingModel(W=w, h=h)
+    monkeypatch.setattr(ising, "_energy_blocks", None)
+    result = ising.solve_exact(model)
+    np.testing.assert_array_equal(result.best, -np.sign(h))
+    assert result.best_energy == ising.energy(model, -np.sign(h))
+    assert result.num_samples == 1 << 200
+
+
+def test_solve_exact_cap_counts_free_spins(rng):
+    # spins 0-3 are dominated, spins 4-11 form a tree with no fields: 8 free
+    tree, _, _ = _tree_model(rng, 8)
+    w = np.zeros((12, 12))
+    w[4:, 4:] = tree.W
+    w[0, 5] = w[5, 0] = 1.0  # fixing s[0] = -1 leaves field -1 on spin 5, not dominant
+    h = np.array([3.0, -1.0, 2.0, -0.5] + [0.0] * 8)
+    model = ising.IsingModel(W=w, h=h)
+    with pytest.raises(ValueError, match=r"m=8 of n=12 exceeds the cap of 7"):
+        ising.solve_exact(model, size_cap=7)
+    result = ising.solve_exact(model, size_cap=8)
+    oracle_s, oracle_e = enumerate_ground_state(model.J, h)
+    np.testing.assert_array_equal(result.best, oracle_s)
+    assert result.best_energy == oracle_e
+    assert result.num_samples == 1 << 12
 
 
 def test_solve_exact_refuses_above_cap():

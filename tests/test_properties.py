@@ -2,7 +2,7 @@
 of the exact sampler against an independent enumerator, and of the box."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qesa import anneal, ising, qp
@@ -86,10 +86,31 @@ def small_integer_models(draw, max_n=10):
     return couplings, h, draw(small)
 
 
-@settings(deadline=None, max_examples=60)
-@given(small_integer_models())
+@st.composite
+def partly_dominated_models(draw, max_n=10):
+    """Small integer models where some fields are redrawn to outweigh their
+    row's couplings: |h_i| = sum_j |W_ij| + extra, with extra 0 (a tie, not
+    dominated), 1 or 2."""
+    couplings, h, offset = draw(small_integer_models(max_n))
+    n = len(h)
+    w = np.zeros((n, n))
+    for (i, j), value in couplings.items():
+        w[i, j] = w[j, i] = value
+    for i in range(n):
+        if draw(st.booleans()):
+            extra = draw(st.integers(0, 2))
+            h[i] = draw(st.sampled_from([-1.0, 1.0])) * (np.abs(w[i]).sum() + extra)
+    return couplings, h, offset
+
+
+@settings(deadline=None, max_examples=100)
+@given(partly_dominated_models())
+# |h_i| = sum_j |W_ij| with h_i < 0: the first ground state (-1, +1) has s_0 = -1,
+# so fixing a tied spin to -sign(h_i) = +1 would return the later (+1, +1)
+@example(({(0, 1): 1.0}, [-1.0, -1.0], 0.0))
 def test_solve_exact_returns_the_first_ground_state(case):
-    # n from 1 to 10 covers both even and odd splits into the two half-tables
+    # n from 1 to 10 covers both even and odd splits into the two half-tables;
+    # the dominated spins are fixed first, the others enumerated
     couplings, h, offset = case
     result = ising.solve_exact(ising.IsingModel.from_couplings(len(h), couplings, h, offset))
     oracle_s, oracle_e = enumerate_ground_state(couplings, h, offset)
