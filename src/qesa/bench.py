@@ -1,6 +1,10 @@
 """Benchmark harness: solver grids, boundary analysis, step-count and
 retention-probability sweeps.
 
+Every solve, from a grid, a sweep or the CLI, is named by its tag in
+``SOLVERS``; the ``QESA_TAGS`` run the annealing loop, each on its own
+sampler, and are the tags a sweep accepts.
+
 Grid runs emit one CSV row per (solver, n, diag_scale, seed) cell. Energies
 are normalized per instance against a reference value: for small n the
 reference is the better of exact corner enumeration and multistart projected
@@ -53,8 +57,6 @@ TIMING_COLUMNS = ("wall_time_s", "sampler_time_s")
 # grid instances up to this n are normalized by reference_solution
 EXACT_REFERENCE_MAX_N = 12
 
-SAMPLER_BACKENDS = ("exact", "sa", "random", "external")
-
 
 @dataclass(frozen=True)
 class ExperimentGrid:
@@ -76,13 +78,6 @@ class ExperimentGrid:
             raise ValueError(
                 f"unknown solver tags {unknown}; available: {sorted(SOLVERS)}"
             )
-
-
-def qesa_tag(backend: str) -> str:
-    """Solver tag of the QESA loop on a sampler backend; "sa" is the classical twin."""
-    if backend not in SAMPLER_BACKENDS:
-        raise ValueError(f"unknown sampler backend {backend!r}")
-    return "sa" if backend == "sa" else f"qesa_{backend}"
 
 
 def _qesa(backend: str, init_backend: Optional[str] = None):
@@ -114,8 +109,9 @@ SOLVERS = {
     "reference": lambda inst, schedule, seed, cfg: reference_solution(inst),
 }
 
-# the tags that run the QESA loop and take retain_p
-QESA_TAGS = tuple(qesa_tag(b) for b in SAMPLER_BACKENDS) + ("qesa_sa_exact",)
+# the tags that run the QESA loop and take retain_p; "sa" is the loop on the
+# classical-annealing sampler
+QESA_TAGS = ("qesa_exact", "sa", "qesa_random", "qesa_external", "qesa_sa_exact")
 
 
 def reference_solution(
@@ -268,7 +264,7 @@ def sweep(
     values: Sequence,
     out_path=None,
     schedule: Optional[ScheduleConfig] = None,
-    sampler_backend: str = "exact",
+    solver: str = "qesa_exact",
     sampler_cfg: Optional[SamplerConfig] = None,
     base_seed: int = 0,
 ) -> list[dict]:
@@ -276,16 +272,18 @@ def sweep(
 
     "steps" re-interpolates the schedule over each step count, temperature
     endpoints fixed; step-size decay keeps its per-step factor. "p" is the
-    direction retention probability. Each solve runs the registry tag of
-    ``sampler_backend`` with seed (base_seed, instance index), so each
-    instance sees common random numbers at every value.
+    direction retention probability. Each solve runs the QESA registry tag
+    ``solver`` with seed (base_seed, instance index), so each instance sees
+    common random numbers at every value.
     """
     if param not in ("steps", "p"):
         raise ValueError(f"sweep parameter must be 'steps' or 'p', got {param!r}")
+    if solver not in QESA_TAGS:
+        raise ValueError(f"sweep solver must be one of {', '.join(QESA_TAGS)}, got {solver!r}")
     schedule = schedule if schedule is not None else ScheduleConfig()
     columns = ("instance", "n", "diag_scale", "seed", param, "best_f", "wall_time_s",
                "sampler_time_s", "eval_count")
-    solve = SOLVERS[qesa_tag(sampler_backend)]
+    solve = SOLVERS[solver]
     rows = []
     for idx, inst in enumerate(instances):
         meta = inst.meta or {}

@@ -1,9 +1,12 @@
 """Command-line interface: instance generation, solving, benchmark grids, sweeps.
 
-Exit codes: 0 success, 1 runtime failure (solver/sampler/IO), 2 usage error.
-Schedule and sampler defaults (t_max=1000, t_min=0.1, 100 steps, k0=0.1,
-alpha=0.95, 1000 sampler reads) make a bare ``solve`` run the reference
-configuration with the classical sampler.
+Every solve is named by its tag in ``bench.SOLVERS``: ``solve --solver``
+takes any tag (default ``sa``, the QESA loop on the classical-annealing
+sampler) and the sweeps take a tag of ``bench.QESA_TAGS`` (default
+``qesa_exact``). Exit codes: 0 success, 1 runtime failure
+(solver/sampler/IO), 2 usage error. Schedule and sampler defaults
+(t_max=1000, t_min=0.1, 100 steps, k0=0.1, alpha=0.95, 1000 sampler reads)
+make a bare ``solve`` run the reference configuration.
 """
 from __future__ import annotations
 
@@ -16,14 +19,22 @@ import sys
 from . import anneal, bench, ising, qp
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, lowest: int) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _positive_float(text: str) -> float:
@@ -36,38 +47,40 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    """Parse '1,5,10' and '0-4' style lists."""
+def _int_list(text: str, lowest: int) -> list[int]:
+    """Parse '1,5,10' and '0-4' style lists of integers >= lowest."""
     out = []
     for part in text.split(","):
         part = part.strip()
-        if not part:
-            continue
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+            lo, hi = (_int_at_least(v, lowest) for v in part.split("-", 1))
+            if hi < lo:
+                raise argparse.ArgumentTypeError(f"range {part!r} runs backwards")
+            out.extend(range(lo, hi + 1))
+        elif part:
+            out.append(_int_at_least(part, lowest))
     if not out:
         raise argparse.ArgumentTypeError(f"empty list: {text!r}")
     return out
 
 
 def _positive_int_list(text: str) -> list[int]:
-    out = _int_list(text)
-    if min(out) < 1:
-        raise argparse.ArgumentTypeError(f"values must be >= 1, got {min(out)}")
-    return out
+    return _int_list(text, 1)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        out = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _seed_list(text: str) -> list[int]:
+    return _int_list(text, 0)
+
+
+def _list(text: str, parse) -> list:
+    out = [parse(p) for p in text.split(",") if p.strip()]
     if not out:
         raise argparse.ArgumentTypeError(f"empty list: {text!r}")
     return out
+
+
+def _positive_float_list(text: str) -> list[float]:
+    return _list(text, _positive_float)
 
 
 def _probability(value) -> float:
@@ -78,7 +91,7 @@ def _probability(value) -> float:
 
 
 def _probability_list(text: str) -> list[float]:
-    return [_probability(p) for p in _float_list(text)]
+    return _list(text, _probability)
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
@@ -172,21 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-n", "--dim", type=_positive_int, required=True)
     p_gen.add_argument("--scale", type=_positive_float, default=1.0,
                        help="diagonal scale factor")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("-o", "--out", required=True)
     _add_config_flag(p_gen)
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance")
-    p_solve.add_argument(
-        "--solver", choices=("qesa", *bench.SOLVERS), default="qesa",
-        help="a solver tag; qesa means the tag of --sampler (qesa_<sampler>, or sa)",
-    )
-    p_solve.add_argument(
-        "--sampler", choices=bench.SAMPLER_BACKENDS, default="sa",
-        help="Ising backend for the qesa solver",
-    )
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--solver", choices=bench.SOLVERS, default="sa",
+                         help="a solver tag (default sa: the QESA loop on the "
+                         "classical-annealing sampler)")
+    p_solve.add_argument("--seed", type=_seed, default=0)
     p_solve.add_argument("--retain-p", type=_probability, default=None,
                          help="direction retention probability (enables perturbation; "
                          f"tags {', '.join(bench.QESA_TAGS)})")
@@ -198,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a solver comparison grid")
     p_bench.add_argument("--dims", type=_positive_int_list, default=[12])
-    p_bench.add_argument("--scales", type=_float_list, default=[1.0, 5.0, 10.0, 20.0])
-    p_bench.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
+    p_bench.add_argument("--scales", type=_positive_float_list, default=[1.0, 5.0, 10.0, 20.0])
+    p_bench.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4])
     p_bench.add_argument(
         "--solvers",
         default="qesa_exact,sa,random_search",
@@ -213,30 +221,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampler_flags(p_bench)
     _add_config_flag(p_bench)
 
-    p_steps = sub.add_parser("sweep-steps", help="step-count sweep")
-    p_steps.add_argument("-n", "--dim", type=_positive_int, default=12)
-    p_steps.add_argument("--scale", type=_positive_float, default=20.0)
-    p_steps.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
-    p_steps.add_argument("--steps-list", type=_positive_int_list,
-                         default=[5, 10, 20, 40, 60, 80, 100])
-    p_steps.add_argument("--sampler", choices=("exact", "sa", "random"), default="exact")
-    p_steps.add_argument("--base-seed", type=int, default=0)
-    p_steps.add_argument("-o", "--out-dir", required=True)
-    _add_schedule_flags(p_steps)
-    _add_sampler_flags(p_steps)
-    _add_config_flag(p_steps)
-
-    p_p = sub.add_parser("sweep-p", help="direction retention probability sweep")
-    p_p.add_argument("-n", "--dim", type=_positive_int, default=12)
-    p_p.add_argument("--scale", type=_positive_float, default=1.0)
-    p_p.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
-    p_p.add_argument("--p-list", type=_probability_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
-    p_p.add_argument("--sampler", choices=("exact", "sa", "random"), default="exact")
-    p_p.add_argument("--base-seed", type=int, default=0)
-    p_p.add_argument("-o", "--out-dir", required=True)
-    _add_schedule_flags(p_p)
-    _add_sampler_flags(p_p)
-    _add_config_flag(p_p)
+    # the two sweeps differ only in the default scale and the swept values
+    for command, help_text, scale, param, values_flag, values_type, values in (
+        ("sweep-steps", "step-count sweep", 20.0, "steps", "--steps-list",
+         _positive_int_list, [5, 10, 20, 40, 60, 80, 100]),
+        ("sweep-p", "direction retention probability sweep", 1.0, "p", "--p-list",
+         _probability_list, [0.0, 0.25, 0.5, 0.75, 1.0]),
+    ):
+        p_sweep = sub.add_parser(command, help=help_text)
+        p_sweep.set_defaults(param=param)
+        p_sweep.add_argument("-n", "--dim", type=_positive_int, default=12)
+        p_sweep.add_argument("--scale", type=_positive_float, default=scale)
+        p_sweep.add_argument("--seeds", type=_seed_list, default=[0, 1, 2, 3, 4])
+        p_sweep.add_argument(values_flag, dest="values", type=values_type, default=values)
+        p_sweep.add_argument("--solver", choices=bench.QESA_TAGS, default="qesa_exact")
+        p_sweep.add_argument("--base-seed", type=_seed, default=0)
+        p_sweep.add_argument("-o", "--out-dir", required=True)
+        _add_schedule_flags(p_sweep)
+        _add_sampler_flags(p_sweep)
+        _add_config_flag(p_sweep)
 
     return parser
 
@@ -249,20 +252,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args, parser) -> int:
-    tag = bench.qesa_tag(args.sampler) if args.solver == "qesa" else args.solver
-    command = args.sampler_cmd or os.environ.get(ising.ENV_EXTERNAL_SAMPLER)
-    if tag == "qesa_external" and not command:
-        parser.error(
-            "the external sampler needs a command: set the "
-            f"{ising.ENV_EXTERNAL_SAMPLER} environment variable or pass --sampler-cmd"
-        )
     extra = {}
     if args.retain_p is not None:
-        if tag not in bench.QESA_TAGS:
-            parser.error(f"--retain-p applies to {', '.join(bench.QESA_TAGS)}, not {tag}")
+        if args.solver not in bench.QESA_TAGS:
+            parser.error(f"--retain-p applies to {', '.join(bench.QESA_TAGS)}, not {args.solver}")
         extra["retain_p"] = args.retain_p
     inst = qp.load(args.instance)
-    report = bench.SOLVERS[tag](inst, args.schedule, args.seed, _sampler_cfg_from(args), **extra)
+    solve = bench.SOLVERS[args.solver]
+    report = solve(inst, args.schedule, args.seed, _sampler_cfg_from(args), **extra)
 
     fraction = bench.boundary_fraction(report)
     doc = report.to_json_dict()
@@ -307,22 +304,21 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    column = "steps" if args.command == "sweep-steps" else "p"
     os.makedirs(args.out_dir, exist_ok=True)
-    out_csv = os.path.join(args.out_dir, f"sweep_{column}.csv")
+    out_csv = os.path.join(args.out_dir, f"sweep_{args.param}.csv")
     rows = bench.sweep(
-        column,
+        args.param,
         [qp.generate(args.dim, args.scale, seed) for seed in args.seeds],
-        args.steps_list if column == "steps" else args.p_list,
+        args.values,
         out_path=out_csv,
         schedule=args.schedule,
-        sampler_backend=args.sampler,
+        solver=args.solver,
         sampler_cfg=_sampler_cfg_from(args),
         base_seed=args.base_seed,
     )
-    medians = bench.median_table(rows, [column], ["best_f"])
-    bench.write_csv(medians, (column, "best_f"),
-                    os.path.join(args.out_dir, f"plot_by_{column}.tsv"), delimiter="\t")
+    medians = bench.median_table(rows, [args.param], ["best_f"])
+    bench.write_csv(medians, (args.param, "best_f"),
+                    os.path.join(args.out_dir, f"plot_by_{args.param}.tsv"), delimiter="\t")
     print(f"wrote {out_csv} ({len(rows)} rows)")
     return 0
 
@@ -347,6 +343,13 @@ def main(argv=None) -> int:
             )
         except ValueError as exc:
             parser.error(str(exc))  # exits with status 2
+    if getattr(args, "solver", None) == "qesa_external" and not (
+        args.sampler_cmd or os.environ.get(ising.ENV_EXTERNAL_SAMPLER)
+    ):
+        parser.error(
+            "the external sampler needs a command: set the "
+            f"{ising.ENV_EXTERNAL_SAMPLER} environment variable or pass --sampler-cmd"
+        )
     try:
         if args.command == "generate":
             return _cmd_generate(args)

@@ -183,13 +183,14 @@ def energy(model: IsingModel, spins) -> float:
     return float(0.5 * (s @ (model.W @ s)) + model.h @ s + model.offset)
 
 
-def _batch_energies(model: IsingModel, spins: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("ri,ri->r", spins @ model.W, spins) + spins @ model.h + model.offset
+def _batch_energies(spins: np.ndarray, w: np.ndarray, h: np.ndarray, offset: float = 0.0):
+    """Energy of each row of ``spins`` under couplings w, fields h and offset."""
+    return 0.5 * np.einsum("ri,ri->r", spins @ w, spins) + spins @ h + offset
 
 
 def _best_sample(model: IsingModel, spins: np.ndarray, t0: float) -> SampleResult:
     """The lowest-energy row of ``spins`` (the first wins ties), energy recomputed."""
-    best = spins[int(np.argmin(_batch_energies(model, spins)))].copy()
+    best = spins[int(np.argmin(_batch_energies(spins, model.W, model.h, model.offset)))].copy()
     return SampleResult(
         best=best,
         best_energy=energy(model, best),
@@ -216,8 +217,8 @@ def _energy_blocks(w: np.ndarray, h: np.ndarray, offset: float, max_entries: int
     """
     na = h.shape[0] // 2
     sa, sb = _spin_table(na), _spin_table(h.shape[0] - na)
-    qa = 0.5 * np.einsum("ri,ri->r", sa @ w[:na, :na], sa) + sa @ h[:na]
-    qb = 0.5 * np.einsum("ri,ri->r", sb @ w[na:, na:], sb) + sb @ h[na:] + offset
+    qa = _batch_energies(sa, w[:na, :na], h[:na])
+    qb = _batch_energies(sb, w[na:, na:], h[na:], offset)
     # one product per block: [S_A W_AB, qA, 1] . [S_B, 1, qB]^T
     left = np.column_stack((sa @ w[:na, na:], qa, np.ones_like(qa)))
     right = np.column_stack((sb, np.ones_like(qb), qb)).T
@@ -362,7 +363,8 @@ def solve_external(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
     and one response object is expected on stdout:
         {"samples": [[s_1, ..., s_n], ...]}
     Returned spin vectors are validated (every entry exactly -1 or +1) and
-    their energies recomputed locally; the best sample wins.
+    their energies recomputed locally; the lowest-energy sample wins, the
+    first among ties. ``sampler_time`` is the subprocess round trip.
 
     The command comes from ``cfg.command`` or the QESA_EXTERNAL_SAMPLER
     environment variable. Failure modes map to distinct exceptions:
@@ -410,27 +412,23 @@ def solve_external(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
     samples = response["samples"]
     if not isinstance(samples, list) or not samples:
         raise SamplerProtocolError("response contains no samples")
-    best = None
-    best_e = np.inf
-    for k, sample in enumerate(samples):
-        try:
-            s = np.asarray(sample, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SamplerProtocolError(f"sample {k} is not numeric: {exc}") from exc
-        if s.shape != (model.n,):
-            raise SamplerProtocolError(
-                f"sample {k} has length {s.size}, expected {model.n}"
-            )
-        if not np.all(np.isin(s, (-1.0, 1.0))):
-            bad = s[~np.isin(s, (-1.0, 1.0))][0]
-            raise InvalidSpinError(f"sample {k} contains spin value {bad!r}")
-        e = energy(model, s)
-        if e < best_e:
-            best_e = e
-            best = s
-    return SampleResult(
-        best=best, best_energy=best_e, num_samples=len(samples), sampler_time=elapsed
-    )
+    try:
+        spins = np.array(samples, dtype=float)
+    except (TypeError, ValueError):
+        spins = None
+    if spins is None or spins.shape != (len(samples), model.n):
+        for k, sample in enumerate(samples):  # name the first malformed sample
+            try:
+                s = np.asarray(sample, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise SamplerProtocolError(f"sample {k} is not numeric: {exc}") from exc
+            if s.shape != (model.n,):
+                raise SamplerProtocolError(f"sample {k} has length {s.size}, expected {model.n}")
+    bad = np.argwhere(~np.isin(spins, (-1.0, 1.0)))
+    if bad.size:
+        k, i = bad[0]
+        raise InvalidSpinError(f"sample {k} contains spin value {spins[k, i]!r}")
+    return replace(_best_sample(model, spins, t0), sampler_time=elapsed)
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:

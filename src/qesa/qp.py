@@ -151,7 +151,7 @@ def load(path) -> QpInstance:
     for key in ("version", "n", "Q", "c"):
         if key not in doc:
             raise InstanceFormatError(f"{path}: missing field {key!r}")
-    if doc["version"] != FORMAT_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != FORMAT_VERSION:  # True == 1
         raise InstanceFormatError(
             f"{path}: unsupported format version {doc['version']!r}"
         )

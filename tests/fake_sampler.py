@@ -10,7 +10,7 @@ import json
 import sys
 import time
 
-MODES = ("exact", "allones", "zeros", "badjson", "empty", "short", "sleep", "fail")
+MODES = ("exact", "ties", "allones", "zeros", "badjson", "empty", "short", "sleep", "fail")
 
 
 def main():
@@ -42,12 +42,18 @@ def main():
         print(json.dumps({"samples": [[1] * n]}))
         return
 
-    # exact: loop back through the in-process enumerator
+    # exact and ties: loop back through the in-process enumerator
     from qesa import ising
 
     model = ising.model_from_request(request)
-    result = ising.solve_exact(model)
-    print(json.dumps({"samples": [[int(v) for v in result.best]]}))
+    best = [int(v) for v in ising.solve_exact(model).best]
+    if args.mode == "ties":
+        # a read with spin 0 flipped, then the ground state's mirror image and
+        # the ground state itself (equal energies when every field is zero)
+        flipped = [-best[0]] + best[1:]
+        print(json.dumps({"samples": [flipped, [-v for v in best], best]}))
+        return
+    print(json.dumps({"samples": [best]}))
 
 
 if __name__ == "__main__":

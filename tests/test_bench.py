@@ -177,8 +177,10 @@ def test_sweep_rejects_unknown_parameter_and_backend():
     instances = _instances(4, 1.0, range(1))
     with pytest.raises(ValueError, match="sweep parameter"):
         bench.sweep("alpha", instances, [0.5])
-    with pytest.raises(ValueError, match="unknown sampler backend"):
-        bench.sweep("steps", instances, [5], sampler_backend="quantum")
+    with pytest.raises(ValueError, match="sweep solver"):
+        bench.sweep("steps", instances, [5], solver="quantum")
+    with pytest.raises(ValueError, match="sweep solver"):  # a tag without the QESA loop
+        bench.sweep("steps", instances, [5], solver="random_search")
 
 
 def test_sweep_p_cardinality(tmp_path):

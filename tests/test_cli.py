@@ -1,5 +1,7 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ def test_generate_rejects_zero_scale(tmp_path):
 
 def test_solve_trivial_instance_exact_sampler(tmp_path, capsys):
     path = _write_trivial_instance(tmp_path)
-    code = cli.main(["solve", str(path), "--solver", "qesa", "--sampler", "exact", "--seed", "0"])
+    code = cli.main(["solve", str(path), "--solver", "qesa_exact", "--seed", "0"])
     assert code == 0
     out = capsys.readouterr().out
     assert "best_f: -1.0" in out
@@ -53,7 +55,7 @@ def test_solve_json_output_and_report_file(tmp_path, capsys):
     path = _write_trivial_instance(tmp_path)
     report_path = tmp_path / "report.json"
     code = cli.main([
-        "solve", str(path), "--sampler", "exact", "--seed", "1",
+        "solve", str(path), "--solver", "qesa_exact", "--seed", "1",
         "--json", "-o", str(report_path),
     ])
     assert code == 0
@@ -75,7 +77,7 @@ def test_solve_external_without_command_is_usage_error(tmp_path, capsys, monkeyp
     monkeypatch.delenv("QESA_EXTERNAL_SAMPLER", raising=False)
     path = _write_trivial_instance(tmp_path)
     with pytest.raises(SystemExit) as err:
-        cli.main(["solve", str(path), "--sampler", "external"])
+        cli.main(["solve", str(path), "--solver", "qesa_external"])
     assert err.value.code == 2
     assert "QESA_EXTERNAL_SAMPLER" in capsys.readouterr().err
 
@@ -83,7 +85,7 @@ def test_solve_external_without_command_is_usage_error(tmp_path, capsys, monkeyp
 def test_solve_external_with_fake_sampler(tmp_path, capsys):
     path = _write_trivial_instance(tmp_path)
     code = cli.main([
-        "solve", str(path), "--sampler", "external",
+        "solve", str(path), "--solver", "qesa_external",
         "--sampler-cmd", fake_sampler_cmd("exact"), "--seed", "0",
         "--steps", "5",
     ])
@@ -184,19 +186,6 @@ def test_solve_reproduces_the_grid_row_of_every_solver_tag(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["best_f"] == rows[tag]["best_f"], tag
 
 
-@pytest.mark.parametrize("extra", [[], ["--retain-p", "0.5"]])
-def test_solver_sa_is_qesa_with_the_sa_sampler(tmp_path, capsys, extra):
-    path = tmp_path / "inst.json"
-    cli.main(["generate", "-n", "8", "--scale", "5", "--seed", "2", "-o", str(path)])
-    docs = []
-    for flags in (["--solver", "sa"], ["--solver", "qesa", "--sampler", "sa"]):
-        capsys.readouterr()
-        assert cli.main(["solve", str(path), *flags, "--seed", "4", "--json", *extra, *FAST]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        docs.append({k: v for k, v in doc.items() if k not in bench.TIMING_COLUMNS})
-    assert docs[0] == docs[1]
-
-
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -260,7 +249,7 @@ def test_sweep_steps_cli(tmp_path, capsys):
     out_dir = tmp_path / "steps"
     code = cli.main([
         "sweep-steps", "-n", "6", "--scale", "20", "--seeds", "0,1",
-        "--steps-list", "2,4", "--sampler", "exact", "-o", str(out_dir), *FAST,
+        "--steps-list", "2,4", "--solver", "qesa_exact", "-o", str(out_dir), *FAST,
     ])
     assert code == 0
     lines = (out_dir / "sweep_steps.csv").read_text().splitlines()
@@ -272,7 +261,7 @@ def test_sweep_steps_cli(tmp_path, capsys):
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     inst = _write_trivial_instance(tmp_path)
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"steps": 5, "sampler": "exact", "json": True}))
+    cfg.write_text(json.dumps({"steps": 5, "solver": "qesa_exact", "json": True}))
     assert cli.main(["solve", str(inst), "--config", str(cfg), "--seed", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["steps"] == 5
@@ -299,9 +288,65 @@ def test_sweep_p_cli(tmp_path, capsys):
     out_dir = tmp_path / "psweep"
     code = cli.main([
         "sweep-p", "-n", "6", "--scale", "1", "--seeds", "0,1",
-        "--p-list", "0,1", "--sampler", "exact", "-o", str(out_dir), *FAST,
+        "--p-list", "0,1", "--solver", "qesa_exact", "-o", str(out_dir), *FAST,
     ])
     assert code == 0
     lines = (out_dir / "sweep_p.csv").read_text().splitlines()
     assert len(lines) == 1 + 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [("bench", ["--scales", "0"], "must be finite and > 0"),
+     ("bench", ["--scales", "1,nan"], "must be finite and > 0"),
+     ("generate", ["-n", "4", "--seed", "-1"], "must be >= 0"),
+     ("solve", ["--seed", "-1"], "must be >= 0"),
+     ("bench", ["--seeds", "-1"], "must be >= 0"),
+     ("sweep-p", ["--base-seed", "-1"], "must be >= 0"),
+     ("bench", ["--seeds", "4-0,1"], "runs backwards")],
+)
+def test_bad_scales_seeds_and_ranges_are_usage_errors(tmp_path, capsys, command, flags, message):
+    out = tmp_path / "out"
+    args = {
+        "generate": ["-o", str(out)],
+        "solve": [str(_write_trivial_instance(tmp_path))],
+    }.get(command, ["-o", str(out)])
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, *args, *flags])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_external_without_command_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QESA_EXTERNAL_SAMPLER", raising=False)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["sweep-steps", "--solver", "qesa_external", "-o", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "QESA_EXTERNAL_SAMPLER" in capsys.readouterr().err
+
+
+def test_sweep_takes_only_qesa_tags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["sweep-p", "--solver", "random_search", "-o", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def _readme_cli_lines():
+    """The `qesa ...` lines of README's CLI block, `\\` continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    joined = block.replace("\\\n", " ")
+    return [ln.split("#", 1)[0] for ln in joined.splitlines() if ln.startswith("qesa ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_lines()
+    assert {shlex.split(ln)[1] for ln in lines} == {
+        "generate", "solve", "bench", "sweep-steps", "sweep-p"
+    }
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])  # a stale flag exits 2

@@ -32,6 +32,16 @@ def test_loopback_matches_in_process_exact(rng):
         assert via_subprocess.best_energy == direct.best_energy
 
 
+def test_first_of_tied_reads_wins_and_every_read_counts():
+    # zero fields, so E(s) = E(-s); the double answers a worse read, then -g, then g
+    m = _model({(0, 1): -1.0, (1, 2): 0.5, (2, 3): -2.0}, [0.0] * 4)
+    ground = ising.solve_exact(m).best
+    result = ising.solve_external(m, _cfg("ties"))
+    np.testing.assert_array_equal(result.best, -ground)
+    assert result.best_energy == ising.energy(m, ground) == -3.5
+    assert result.num_samples == 3
+
+
 def test_spin_outside_domain_is_validation_error():
     m = _model({}, [0.0, 0.0])
     with pytest.raises(ising.InvalidSpinError, match="spin value"):

@@ -207,6 +207,13 @@ def test_load_rejects_unknown_version(tmp_path):
         qp.load(_write_doc(tmp_path, doc))
 
 
+def test_load_rejects_boolean_version(tmp_path):
+    # True == 1, so an equality check alone would accept it
+    doc = {"version": True, "n": 1, "Q": [[1.0]], "c": [0.0], "meta": None}
+    with pytest.raises(qp.InstanceFormatError, match="unsupported format version True"):
+        qp.load(_write_doc(tmp_path, doc))
+
+
 def test_clip_to_box():
     np.testing.assert_allclose(qp.clip_to_box([2.0, -3.0, 0.5]), [1.0, -1.0, 0.5])
 
