@@ -157,7 +157,10 @@ def direction_ising(inst: QpInstance, x, k: float) -> IsingModel:
 
     The couplings are W = k^2 Q with the diagonal removed; the direction-
     independent diagonal part lands in the offset, so sampler energies are
-    exact objective deltas for the unclipped proposal.
+    exact objective deltas for the unclipped proposal. Q is symmetric and
+    finite, so the model skips the public constructor's full check: only
+    overflow or a non-finite x can break it, and one O(n) guard on h and on
+    the instance's cached ``max_abs_q`` and ``trace_q`` catches that.
     """
     if k <= 0:
         raise ValueError(f"step size k must be > 0, got {k}")
@@ -165,10 +168,16 @@ def direction_ising(inst: QpInstance, x, k: float) -> IsingModel:
     if x.shape != (inst.n,):
         raise ValueError(f"point has shape {x.shape}, instance expects ({inst.n},)")
     k2 = k * k
+    h = k * (inst.Q @ x + inst.c)
+    offset = 0.5 * k2 * inst.trace_q
+    if not (math.isfinite(k2 * inst.max_abs_q) and math.isfinite(offset) and np.isfinite(h).all()):
+        raise ValueError(
+            f"direction model at k={k!r} has non-finite coefficients "
+            "(k^2 Q, k (Qx + c) or the offset overflows, or x is not finite)"
+        )
     w = k2 * inst.Q
     np.fill_diagonal(w, 0.0)
-    offset = 0.5 * k2 * float(np.trace(inst.Q))
-    return IsingModel(W=w, h=k * (inst.Q @ x + inst.c), offset=offset)
+    return IsingModel._trusted(w, h, offset)
 
 
 def init_ising(inst: QpInstance) -> IsingModel:

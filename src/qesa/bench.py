@@ -16,6 +16,7 @@ best_f - reference_f is always emitted alongside it.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -58,6 +59,10 @@ TIMING_COLUMNS = ("wall_time_s", "sampler_time_s")
 EXACT_REFERENCE_MAX_N = 12
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     """Cartesian experiment over dimensions, diagonal scales, seeds, solvers."""
@@ -73,6 +78,16 @@ class ExperimentGrid:
         for name in ("dims", "diag_scales", "seeds", "solvers"):
             if not getattr(self, name):
                 raise ValueError(f"grid field {name!r} must be non-empty")
+        # checked here so that no cell, and no parent-side reference, sees them
+        bad = [d for d in self.dims if not _is_int(d) or d < 1]
+        if bad:
+            raise ValueError(f"grid field 'dims' takes integers >= 1, got {bad}")
+        bad = [s for s in self.diag_scales if not (math.isfinite(s) and s > 0)]
+        if bad:
+            raise ValueError(f"grid field 'diag_scales' takes finite values > 0, got {bad}")
+        bad = [s for s in self.seeds if not _is_int(s) or s < 0]
+        if bad:
+            raise ValueError(f"grid field 'seeds' takes integers >= 0, got {bad}")
         unknown = [s for s in self.solvers if s not in SOLVERS]
         if unknown:
             raise ValueError(

@@ -24,6 +24,7 @@ local ``energy`` function; reported energies are never trusted.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -106,6 +107,17 @@ class IsingModel:
         object.__setattr__(self, "W", w)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "offset", float(self.offset))
+
+    @classmethod
+    def _trusted(cls, w: np.ndarray, h: np.ndarray, offset: float) -> "IsingModel":
+        """Model from fresh float arrays whose caller guarantees every check of
+        the public constructor: w symmetric with a zero diagonal, everything
+        finite. No copy and no check; w and h are made read-only in place."""
+        w.setflags(write=False)
+        h.setflags(write=False)
+        model = object.__new__(cls)
+        model.__dict__.update(W=w, h=h, offset=float(offset))
+        return model
 
     @classmethod
     def from_couplings(cls, n: int, J: dict, h, offset: float = 0.0) -> "IsingModel":
@@ -307,6 +319,23 @@ def solve_classical_sa(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
     each doing ``inner_sweeps`` full sweeps under a geometric temperature
     decay from 10x to 0.01x the largest coefficient magnitude, and returns
     the best final configuration. Deterministic given ``cfg.seed``.
+
+    Each sweep draws its uniforms as one (n, restarts) block; a Generator
+    fills it in stream order, so row i holds exactly what a per-spin
+    ``rng.random(restarts)`` call would return. The local field reads
+    column i, not the equal contiguous row W[i]: with one restart numpy makes
+    it a BLAS dot product, whose unit-stride and strided kernels sum in
+    different orders. Spin i flips where u < exp(-delta / T): for delta <= 0
+    that exponential is at least 1 > u, so no ``maximum`` clamp or separate
+    downhill test is needed, and an exponential that overflows to inf also
+    accepts. The flip is a masked ``copyto``: numpy 2.4's
+    ``negative(col, out=col, where=...)`` skips entries of a strided column
+    when a row is 64 bytes (n = 8).
+
+    A temperature that underflows to 0 or overflows (largest coefficient
+    below about 1e-306 or above about 1e307) would make delta / -T a NaN for
+    delta = 0 or delta = -inf. Such a sweep flips where delta <= 0, or where
+    delta < inf at T = inf, as Metropolis with that T accepts.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -320,14 +349,21 @@ def solve_classical_sa(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
         t_low = SA_T_LOW_FACTOR * scale
         sweeps = cfg.inner_sweeps
         ratio = (t_low / t_high) ** (1.0 / (sweeps - 1)) if sweeps > 1 else 1.0
-        for sweep in range(sweeps):
-            temp = t_high * ratio**sweep
-            for i in range(n):
-                local = spins @ w[:, i] + h[i]
-                delta = -2.0 * spins[:, i] * local
-                u = rng.random(restarts)
-                accept = (delta <= 0.0) | (u < np.exp(-np.maximum(delta, 0.0) / temp))
-                spins[accept, i] = -spins[accept, i]
+        with np.errstate(over="ignore"):
+            for sweep in range(sweeps):
+                temp = t_high * ratio**sweep
+                proper = 0.0 < temp < math.inf
+                u = rng.random((n, restarts))
+                for i in range(n):
+                    col = spins[:, i]
+                    x = (col * -2.0) * (spins @ w[:, i] + h[i])  # delta of flipping spin i
+                    if proper:
+                        x /= -temp
+                        np.exp(x, out=x)
+                        flip = u[i] < x
+                    else:  # T is 0, inf or NaN: the rule's limit, with no 0/0 or inf/inf
+                        flip = x < math.inf if temp == math.inf else x <= 0.0
+                    np.copyto(col, -col, where=flip)
     return _best_sample(model, spins, t0)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -65,6 +66,17 @@ class QpInstance:
     @property
     def n(self) -> int:
         return self.c.shape[0]
+
+    # scalars every direction model needs, computed on first use. Q with a
+    # zeroed diagonal is not cached: n^2 more floats per instance raised peak
+    # memory, and a step rebuilds it with one multiply and a diagonal write.
+    @cached_property
+    def trace_q(self) -> float:
+        return float(np.trace(self.Q))
+
+    @cached_property
+    def max_abs_q(self) -> float:
+        return float(np.max(np.abs(self.Q)))
 
 
 def _check_point(inst: QpInstance, x) -> np.ndarray:

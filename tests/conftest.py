@@ -6,6 +6,7 @@ itertools.product, and gradients come from central finite differences.
 """
 import itertools
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,3 +90,49 @@ def random_model(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def reference_sa(model, cfg):
+    """Frozen reference for ``ising.solve_classical_sa``: the earlier one-spin-
+    at-a-time loop, one ``rng.random(restarts)`` call and one explicit
+    ``delta <= 0`` test per spin update, read through column W[:, i]. The
+    kernel must return the same ``SampleResult.best`` and ``best_energy``
+    bit for bit."""
+    from qesa.ising import SA_T_HIGH_FACTOR, SA_T_LOW_FACTOR, _best_sample
+
+    rng = np.random.default_rng(cfg.seed)
+    n, restarts = model.n, cfg.num_samples
+    spins = rng.integers(0, 2, size=(restarts, n)).astype(float) * 2.0 - 1.0
+    scale = model.max_abs_coefficient()
+    if scale > 0.0:
+        w = model.W
+        h = model.h
+        t_high = SA_T_HIGH_FACTOR * scale
+        t_low = SA_T_LOW_FACTOR * scale
+        sweeps = cfg.inner_sweeps
+        ratio = (t_low / t_high) ** (1.0 / (sweeps - 1)) if sweeps > 1 else 1.0
+        for sweep in range(sweeps):
+            temp = t_high * ratio**sweep
+            for i in range(n):
+                local = spins @ w[:, i] + h[i]
+                delta = -2.0 * spins[:, i] * local
+                u = rng.random(restarts)
+                accept = (delta <= 0.0) | (u < np.exp(-np.maximum(delta, 0.0) / temp))
+                spins[accept, i] = -spins[accept, i]
+    return _best_sample(model, spins, 0.0)
+
+
+def sa_against_reference(model, cfg):
+    """(``solve_classical_sa``, ``reference_sa``) on one model and config. The
+    kernel runs with every warning an error; the reference's RuntimeWarnings
+    (divide by zero and invalid value when a temperature is 0 or inf) are
+    ignored, because they belong to the earlier loop."""
+    from qesa.ising import solve_classical_sa
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_classical_sa(model, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = reference_sa(model, cfg)
+    return result, expected

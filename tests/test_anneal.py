@@ -97,6 +97,37 @@ def test_direction_ising_validation():
         anneal.direction_ising(inst, np.zeros(4), 0.1)
 
 
+def test_direction_model_passes_the_public_checks_bit_for_bit(rng):
+    # direction_ising skips IsingModel's checks; the model must still pass them
+    for trial in range(10):
+        n = int(rng.integers(1, 20))
+        inst = qp.generate(n, float(rng.choice([1.0, 20.0])), seed=trial)
+        x = rng.uniform(-1.0, 1.0, size=n)
+        k = float(rng.uniform(1e-3, 2.0))
+        model = anneal.direction_ising(inst, x, k)
+        w = k * k * np.array(inst.Q)
+        np.fill_diagonal(w, 0.0)
+        checked = ising.IsingModel(W=w, h=k * (inst.Q @ x + inst.c),
+                                   offset=0.5 * k * k * float(np.trace(inst.Q)))
+        assert model.W.tobytes() == checked.W.tobytes()
+        assert model.h.tobytes() == checked.h.tobytes()
+        assert model.offset.hex() == checked.offset.hex()
+        assert not model.W.flags.writeable and not model.h.flags.writeable
+
+
+@pytest.mark.parametrize("x, k", [
+    (np.zeros(3), 1e160),             # k^2 max|Q| overflows
+    pytest.param(np.full(3, 1e300), 1e10,  # k (Qx + c) overflows, and numpy says so
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    (np.array([0.0, np.nan, 0.0]), 0.5),
+    (np.zeros(3), float("nan")),
+])
+def test_direction_ising_rejects_non_finite_models(x, k):
+    inst = qp.generate(3, 1.0, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        anneal.direction_ising(inst, x, k)
+
+
 def test_direction_energy_identity(rng):
     # sampler energies must equal true objective deltas of unclipped steps
     for _ in range(10):

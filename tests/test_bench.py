@@ -111,6 +111,27 @@ def test_grid_validation():
         bench.ExperimentGrid(solvers=("warpdrive",))
 
 
+@pytest.mark.parametrize("field, values", [
+    ("dims", (0,)), ("dims", (-3,)), ("dims", (4.5,)),
+    ("diag_scales", (-1.0,)), ("diag_scales", (float("inf"),)), ("diag_scales", (float("nan"),)),
+    ("seeds", (2.5,)), ("seeds", ("0",)),
+])
+def test_grid_rejects_bad_field_values(field, values):
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        bench.ExperimentGrid(**{field: values})
+
+
+def test_grid_rejects_zero_scale_before_run_grid():
+    # this grid used to abort run_grid in its parent-side reference for n <= 12
+    with pytest.raises(ValueError, match="'diag_scales'"):
+        bench.ExperimentGrid(dims=(4,), diag_scales=(0.0,), seeds=(0,), solvers=("random_search",))
+
+
+def test_grid_rejects_negative_seed_before_run_grid():
+    with pytest.raises(ValueError, match="'seeds'"):
+        bench.ExperimentGrid(dims=(4,), diag_scales=(1.0,), seeds=(-1,), solvers=("random_search",))
+
+
 def test_boundary_fraction_values():
     assert bench.boundary_fraction(np.array([1.0, -1.0, 0.0, 1.0])) == 0.75
     assert bench.boundary_fraction(np.array([0.2, -0.3])) == 0.0

@@ -54,6 +54,19 @@ SOLVER_GOLDEN = {
     ),
 }
 
+# the sa sampler alone, one call: (n, diag_scale, instance seed, x seed or
+# None for x = 0, k, reads, sweeps, sampler seed) -> (best_energy, sha256 of best)
+SA_SAMPLER_GOLDEN = {
+    (12, 5.0, 4, None, 1.0, 16, 10, 3): (
+        "-0x1.af299600e820ep+3",
+        "a64bffd8556884ed9e77aae4ba38a613f96b35e1a3df54f0e102f25f240a9e49",
+    ),
+    (17, 1.0, 9, 2, 0.3, 8, 7, 21): (
+        "-0x1.8c9016f3454adp+2",
+        "29506ce7ad0cf3764bb06cb4b6f65b0842b1efd03ff0b8d2e02d1b7b8bacd3fc",
+    ),
+}
+
 
 def _pin(report):
     best_x = np.asarray(report.best_x, dtype=float)
@@ -93,3 +106,15 @@ def test_fixed_seed_solver_entry_point_is_bit_identical(name):
     cfg = ising.SamplerConfig(num_samples=8, inner_sweeps=5)
     report = solve(qp.generate(12, 5.0, 4), anneal.ScheduleConfig(), 7, cfg)
     assert _pin(report) == SOLVER_GOLDEN[name]
+
+
+@pytest.mark.parametrize("case", sorted(SA_SAMPLER_GOLDEN, key=str))
+def test_sa_sampler_call_is_bit_identical(case):
+    n, scale, inst_seed, x_seed, k, reads, sweeps, seed = case
+    x = np.zeros(n) if x_seed is None else np.random.default_rng(x_seed).uniform(-1, 1, n)
+    model = anneal.direction_ising(qp.generate(n, scale, inst_seed), x, k)
+    cfg = ising.SamplerConfig(num_samples=reads, inner_sweeps=sweeps, seed=seed)
+    result = ising.solve_classical_sa(model, cfg)
+    assert (result.best_energy.hex(), hashlib.sha256(result.best.tobytes()).hexdigest()) == (
+        SA_SAMPLER_GOLDEN[case]
+    )

@@ -1,11 +1,18 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from qesa import ising
 
-from conftest import enumerate_ground_state, ising_energy_oracle, random_model
+from conftest import (
+    enumerate_ground_state,
+    ising_energy_oracle,
+    random_model,
+    reference_sa,
+    sa_against_reference,
+)
 
 
 def _model(couplings, h, offset=0.0):
@@ -214,6 +221,83 @@ def test_classical_sa_finds_ground_state_on_most_models(rng):
         if result.best_energy <= exact.best_energy + 1e-9:
             hits += 1
     assert hits >= 95
+
+
+def _ferromagnet(n, scale):
+    """All couplings and fields -scale: a spin against the aligned rest has
+    delta = -2 (n - 1 + 1) scale, so at T = SA_T_LOW_FACTOR * scale the
+    kernel's exp(-delta / T) = exp(1600) overflows to inf for n = 8."""
+    return ising.IsingModel(W=-scale * (np.ones((n, n)) - np.eye(n)), h=np.full(n, -scale))
+
+
+def _sa_oracle_cases():
+    rng = np.random.default_rng(31)
+    random_models = {n: _model(*random_model(rng, n)) for n in (6, 7, 8, 10)}
+    return {
+        "n1": (_model({}, [0.7]), 5, 4),
+        "odd_n": (random_models[7], 9, 6),
+        # 64-byte rows, where numpy 2.4's masked in-place negative of a column misses entries
+        "n8": (random_models[8], 12, 1),
+        "one_sweep": (random_models[6], 16, 1),
+        "one_read": (random_models[10], 1, 12),
+        "all_zero": (_model({}, np.zeros(4)), 6, 3),
+        "exp_overflow": (_ferromagnet(8, 1.0), 64, 3),
+        "exp_overflow_huge": (_ferromagnet(8, 1e300), 64, 3),
+        # T_low = 0.01 * 5e-324 underflows to 0, and spin 4 has delta = 0
+        "zero_temperature": (_model({}, [5e-324, 5e-324, 5e-324, 5e-324, 0.0]), 1, 2),
+        # T_high = 10 * 2e307 overflows to inf, where every finite delta is accepted
+        "infinite_temperature": (_ferromagnet(2, 2e307), 1, 1),
+    }
+
+
+SA_ORACLE_CASES = _sa_oracle_cases()
+
+
+def _same_sample(a, b):
+    np.testing.assert_array_equal(a.best, b.best)
+    assert a.best_energy.hex() == b.best_energy.hex()
+    assert a.num_samples == b.num_samples
+
+
+@pytest.mark.parametrize("name", sorted(SA_ORACLE_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_classical_sa_matches_reference_loop(name, seed):
+    model, reads, sweeps = SA_ORACLE_CASES[name]
+    cfg = ising.SamplerConfig(num_samples=reads, inner_sweeps=sweeps, seed=seed)
+    _same_sample(*sa_against_reference(model, cfg))
+
+
+class _ZeroUniforms(np.random.Generator):
+    """A generator whose uniforms are all exactly 0.0, so u == exp(...) when
+    the exponential underflows: only a strict u < exp(-delta / T) rejects."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.zeros(size)
+
+
+def test_classical_sa_matches_reference_loop_when_uniforms_tie():
+    model = _ferromagnet(8, 1.0)  # uphill flips at T_low: exp(-1600) == 0.0
+
+    def cfg():  # a fresh generator per side, since the sampler advances it
+        return ising.SamplerConfig(num_samples=16, inner_sweeps=4,
+                                   seed=_ZeroUniforms(np.random.PCG64(3)))
+
+    _same_sample(ising.solve_classical_sa(model, cfg()), reference_sa(model, cfg()))
+
+
+@pytest.mark.parametrize("seed", [2, 5, 8])
+def test_classical_sa_matches_reference_loop_when_fields_overflow(seed):
+    # With one restart the local field is a BLAS dot product. Near the float
+    # maximum its partial sums overflow, so only column i's summation order,
+    # the reference's, makes the same decisions. The energies overflow in
+    # both, hence the ignored warnings.
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(-1.0, 1.0, (9, 9)) * 1e308, 1)
+    model = ising.IsingModel(W=upper + upper.T, h=np.zeros(9))
+    cfg = ising.SamplerConfig(num_samples=1, inner_sweeps=1, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _same_sample(ising.solve_classical_sa(model, cfg), reference_sa(model, cfg))
 
 
 def test_solve_random_never_beats_exact(rng):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qesa import anneal, ising, qp
 
-from conftest import enumerate_ground_state, objective_oracle
+from conftest import enumerate_ground_state, objective_oracle, sa_against_reference
 
 coefficient = st.floats(-10.0, 10.0, allow_nan=False)
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -162,3 +162,21 @@ def test_perturbed_solve_stays_in_the_box(data):
     report = anneal.qesa_solve(inst, schedule=schedule, sampler=ising.solve_exact, policy=policy)
     for point in (report.final_x, report.best_x):
         assert np.all((np.asarray(point) >= -1.0) & (np.asarray(point) <= 1.0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_classical_sa_equals_reference_loop(data):
+    # the sweep kernel makes the same accept decisions as the one-update-at-a-
+    # time loop it replaced, so results match bit for bit
+    n = data.draw(st.integers(1, 9))
+    upper = np.triu(np.reshape(data.draw(st.lists(coefficient, min_size=n * n, max_size=n * n)),
+                               (n, n)), 1)
+    model = ising.IsingModel(W=upper + upper.T,
+                             h=data.draw(st.lists(coefficient, min_size=n, max_size=n)))
+    cfg = ising.SamplerConfig(num_samples=data.draw(st.integers(1, 8)),
+                              inner_sweeps=data.draw(st.integers(1, 8)),
+                              seed=data.draw(st.integers(0, 2**32 - 1)))
+    result, expected = sa_against_reference(model, cfg)
+    np.testing.assert_array_equal(result.best, expected.best)
+    assert result.best_energy.hex() == expected.best_energy.hex()
