@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ising import IsingModel, SampleResult
+from .ising import IsingModel, SampleResult, check_count
 from .qp import QpInstance, clip_to_box, objective
 
 COOLING_FORMS = ("exponential", "linear")
@@ -60,8 +60,7 @@ class ScheduleConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0 < self.k0 < math.inf:
             raise ValueError(f"k0 must be finite and > 0, got {self.k0}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        check_count("steps", self.steps)
         if self.cooling not in COOLING_FORMS:
             raise ValueError(f"cooling must be one of {COOLING_FORMS}, got {self.cooling!r}")
 
@@ -168,7 +167,8 @@ def direction_ising(inst: QpInstance, x, k: float) -> IsingModel:
     if x.shape != (inst.n,):
         raise ValueError(f"point has shape {x.shape}, instance expects ({inst.n},)")
     k2 = k * k
-    h = k * (inst.Q @ x + inst.c)
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard below reports these
+        h = k * (inst.Q @ x + inst.c)
     offset = 0.5 * k2 * inst.trace_q
     if not (math.isfinite(k2 * inst.max_abs_q) and math.isfinite(offset) and np.isfinite(h).all()):
         raise ValueError(

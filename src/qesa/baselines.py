@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .anneal import DirectionPolicy, ScheduleConfig, SolveReport, init_ising, qesa_solve
-from .ising import EXACT_SIZE_CAP, SamplerConfig, make_sampler, solve_exact
+from .ising import EXACT_SIZE_CAP, SamplerConfig, check_count, make_sampler, solve_exact
 from .qp import QpInstance, batch_objective, gradient, objective
 
 
@@ -73,8 +73,7 @@ def solve_projected_gradient(
     spectral norm of Q. Note a zero-gradient start (e.g. x0 = 0 with c = 0)
     never moves; random initialization is the default.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    check_count("iters", iters)
     t0 = time.perf_counter()
     if step_size is None:
         step_size = 1.0 / max(1.0, float(np.linalg.norm(inst.Q, 2)))
@@ -132,8 +131,7 @@ def solve_corner_exact(inst: QpInstance, size_cap: int = EXACT_SIZE_CAP) -> Solv
 
 def solve_random_search(inst: QpInstance, budget: int, seed=None) -> SolveReport:
     """Best of ``budget`` points drawn uniformly from the box."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_count("budget", budget)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     best_x = None

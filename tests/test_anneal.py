@@ -33,6 +33,13 @@ def test_schedule_rejects_non_finite_values(field, value):
         anneal.ScheduleConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), True, False, "3", None])
+def test_schedule_rejects_non_integer_steps(value):
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        anneal.ScheduleConfig(steps=value)
+    assert anneal.ScheduleConfig(steps=np.int64(4)).steps == 4
+
+
 def test_temperature_endpoints_exact():
     cfg = anneal.ScheduleConfig()
     assert anneal.temperature(cfg, 0) == 1000.0
@@ -117,10 +124,10 @@ def test_direction_model_passes_the_public_checks_bit_for_bit(rng):
 
 @pytest.mark.parametrize("x, k", [
     (np.zeros(3), 1e160),             # k^2 max|Q| overflows
-    pytest.param(np.full(3, 1e300), 1e10,  # k (Qx + c) overflows, and numpy says so
-                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    (np.full(3, 1e300), 1e10),        # k (Qx + c) overflows
     (np.array([0.0, np.nan, 0.0]), 0.5),
     (np.zeros(3), float("nan")),
+    (np.array([np.inf, -np.inf, 0.0]), 1.0),  # Qx is inf - inf
 ])
 def test_direction_ising_rejects_non_finite_models(x, k):
     inst = qp.generate(3, 1.0, seed=0)

@@ -70,8 +70,9 @@ def test_projected_gradient_validation():
     inst = qp.generate(3, 1.0, seed=0)
     with pytest.raises(ValueError):
         baselines.solve_projected_gradient(inst, step_size=-0.1)
-    with pytest.raises(ValueError):
-        baselines.solve_projected_gradient(inst, iters=0)
+    for iters in (0, 2.5, True):
+        with pytest.raises(ValueError, match="iters must be an integer"):
+            baselines.solve_projected_gradient(inst, iters=iters)
 
 
 def test_corner_exact_hand_values():
@@ -126,8 +127,9 @@ def test_random_search_deterministic_and_feasible():
     b = baselines.solve_random_search(inst, budget=500, seed=11)
     np.testing.assert_array_equal(a.best_x, b.best_x)
     assert np.all(np.abs(a.best_x) <= 1.0)
-    with pytest.raises(ValueError):
-        baselines.solve_random_search(inst, budget=0)
+    for budget in (0, 2.5, True):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            baselines.solve_random_search(inst, budget=budget)
 
 
 def test_all_baseline_reports_satisfy_shared_invariants():

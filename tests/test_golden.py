@@ -118,3 +118,17 @@ def test_sa_sampler_call_is_bit_identical(case):
     assert (result.best_energy.hex(), hashlib.sha256(result.best.tobytes()).hexdigest()) == (
         SA_SAMPLER_GOLDEN[case]
     )
+
+
+# the grid-n12 and c07 sa configuration: solve_sa_baseline on qp.generate(12, 20.0, 1),
+# default schedule, seed 1, 32 reads x 30 sweeps
+SA_GRID_GOLDEN = (
+    "-0x1.b67f5b199a903p+3",
+    "364fb80e0aa07744c38bbc615986a3567ada071110a239f2fcfc502f3cd9a295",
+)
+
+
+def test_grid_sa_configuration_is_bit_identical():
+    cfg = ising.SamplerConfig(num_samples=32, inner_sweeps=30)
+    report = baselines.solve_sa_baseline(qp.generate(12, 20.0, 1), anneal.ScheduleConfig(), 1, cfg)
+    assert _pin(report) == SA_GRID_GOLDEN

@@ -376,6 +376,23 @@ def test_sampler_config_validation():
         ising.SamplerConfig(inner_sweeps=0)
 
 
+NON_INTEGER_COUNTS = [2.5, 3.0, np.float64(3.0), True, False, "3", None]
+
+
+@pytest.mark.parametrize("value", NON_INTEGER_COUNTS)
+def test_sampler_config_rejects_non_integer_num_samples(value):
+    with pytest.raises(ValueError, match="num_samples must be an integer"):
+        ising.SamplerConfig(num_samples=value)
+    assert ising.SamplerConfig(num_samples=np.int32(3)).num_samples == 3
+
+
+@pytest.mark.parametrize("value", NON_INTEGER_COUNTS)
+def test_sampler_config_rejects_non_integer_inner_sweeps(value):
+    with pytest.raises(ValueError, match="inner_sweeps must be an integer"):
+        ising.SamplerConfig(inner_sweeps=value)
+    assert ising.SamplerConfig(inner_sweeps=np.int64(2)).inner_sweeps == 2
+
+
 @pytest.mark.parametrize("timeout", [0.0, -1.0])
 def test_sampler_config_rejects_non_positive_timeout(timeout):
     with pytest.raises(ValueError, match="timeout_s"):
