@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from .ising import IsingModel, SampleResult, check_count
-from .qp import QpInstance, clip_to_box, objective
+from .qp import QpInstance, check_point, clip_to_box, objective
 
 COOLING_FORMS = ("exponential", "linear")
 
@@ -84,12 +84,13 @@ class DirectionPolicy:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SolveReport:
     """Outcome of one solve: final and best point plus loop accounting.
 
-    ``eval_count`` counts objective evaluations only (sampler-internal work
-    is reported separately through ``sampler_time_s``). ``trajectory``
+    ``wall_time_s`` covers the whole call, from its first statement to the
+    report. ``eval_count`` counts objective evaluations only (sampler-internal
+    work is reported separately through ``sampler_time_s``). ``trajectory``
     entries are (step, current objective value, accepted) tuples.
     """
 
@@ -97,29 +98,21 @@ class SolveReport:
     best_x: np.ndarray
     best_f: float
     steps: int
-    accepted_count: int
+    accepted_count: int = 0
     wall_time_s: float
-    sampler_time_s: float
+    sampler_time_s: float = 0.0
     eval_count: int
     final_k: float = 0.0
     corner_restricted: bool = False
     trajectory: Optional[list] = None
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "final_x": np.asarray(self.final_x, dtype=float).tolist(),
-            "best_x": np.asarray(self.best_x, dtype=float).tolist(),
-            "best_f": self.best_f,
-            "steps": self.steps,
-            "accepted_count": self.accepted_count,
-            "wall_time_s": self.wall_time_s,
-            "sampler_time_s": self.sampler_time_s,
-            "eval_count": self.eval_count,
-            "final_k": self.final_k,
-            "corner_restricted": self.corner_restricted,
-        }
-        if self.trajectory is not None:
-            doc["trajectory"] = [[s, f, bool(a)] for s, f, a in self.trajectory]
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("final_x", "best_x"):
+            doc[name] = np.asarray(doc[name], dtype=float).tolist()
+        trajectory = doc.pop("trajectory")
+        if trajectory is not None:
+            doc["trajectory"] = [[s, f, bool(a)] for s, f, a in trajectory]
         return doc
 
 
@@ -163,9 +156,7 @@ def direction_ising(inst: QpInstance, x, k: float) -> IsingModel:
     """
     if k <= 0:
         raise ValueError(f"step size k must be > 0, got {k}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.n,):
-        raise ValueError(f"point has shape {x.shape}, instance expects ({inst.n},)")
+    x = check_point(inst, x)
     k2 = k * k
     with np.errstate(over="ignore", invalid="ignore"):  # the guard below reports these
         h = k * (inst.Q @ x + inst.c)
@@ -217,6 +208,7 @@ def qesa_solve(
     Metropolis decision on the true objective change. The result is
     deterministic given (seed, sampler seeding, policy seed).
     """
+    t0 = time.perf_counter()
     if sampler is None:
         raise ValueError("a sampler backend is required (see qesa.ising.make_sampler)")
     schedule = schedule if schedule is not None else ScheduleConfig()
@@ -224,7 +216,6 @@ def qesa_solve(
     perturb_rng = (
         np.random.default_rng(policy.seed) if policy is not None else None
     )
-    t0 = time.perf_counter()
 
     try:
         init_result = (sampler if init_sampler is None else init_sampler)(init_ising(inst))
@@ -266,15 +257,19 @@ def qesa_solve(
             trajectory.append((step, f_x, accepted))
         k *= schedule.alpha
 
-    return SolveReport(
+    report = SolveReport(
         final_x=x,
         best_x=best_x,
         best_f=best_f,
         steps=schedule.steps,
         accepted_count=accepted_count,
-        wall_time_s=time.perf_counter() - t0,
+        wall_time_s=math.nan,
         sampler_time_s=sampler_time,
         eval_count=eval_count,
         final_k=k,
         trajectory=trajectory,
     )
+    # the clock is read last, so building the report (and any garbage-collection
+    # pass its allocation sets off) counts toward wall_time_s
+    object.__setattr__(report, "wall_time_s", time.perf_counter() - t0)
+    return report

@@ -59,6 +59,11 @@ def solve_sa_baseline(
     return solve_seeded(inst, "sa", schedule, seed, sampler_cfg, retain_p)
 
 
+def gradient_step_size(inst: QpInstance) -> float:
+    """Default projected-gradient step 1 / max(1, ||Q||_2)."""
+    return 1.0 / max(1.0, float(np.linalg.norm(inst.Q, 2)))
+
+
 def solve_projected_gradient(
     inst: QpInstance,
     step_size: Optional[float] = None,
@@ -76,7 +81,7 @@ def solve_projected_gradient(
     check_count("iters", iters)
     t0 = time.perf_counter()
     if step_size is None:
-        step_size = 1.0 / max(1.0, float(np.linalg.norm(inst.Q, 2)))
+        step_size = gradient_step_size(inst)
     if step_size <= 0:
         raise ValueError(f"step_size must be > 0, got {step_size}")
     if x0 is None:
@@ -98,9 +103,7 @@ def solve_projected_gradient(
         best_x=best_x,
         best_f=best_f,
         steps=iters,
-        accepted_count=0,
         wall_time_s=time.perf_counter() - t0,
-        sampler_time_s=0.0,
         eval_count=eval_count,
     )
 
@@ -121,7 +124,6 @@ def solve_corner_exact(inst: QpInstance, size_cap: int = EXACT_SIZE_CAP) -> Solv
         best_x=x.copy(),
         best_f=best_f,
         steps=0,
-        accepted_count=0,
         wall_time_s=time.perf_counter() - t0,
         sampler_time_s=result.sampler_time,
         eval_count=1,
@@ -152,8 +154,6 @@ def solve_random_search(inst: QpInstance, budget: int, seed=None) -> SolveReport
         best_x=best_x.copy(),
         best_f=best_f,
         steps=budget,
-        accepted_count=0,
         wall_time_s=time.perf_counter() - t0,
-        sampler_time_s=0.0,
         eval_count=budget,
     )

@@ -16,6 +16,7 @@ best_f - reference_f is always emitted alongside it.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import time
@@ -30,13 +31,14 @@ import numpy as np
 # patches them on this module, so they stay importable from it.
 from .anneal import ScheduleConfig, SolveReport, qesa_solve
 from .baselines import (
+    gradient_step_size,
     solve_corner_exact,
     solve_projected_gradient,
     solve_random_search,
     solve_sa_baseline,
     solve_seeded,
 )
-from .ising import EXACT_SIZE_CAP, SamplerConfig, solve_exact
+from .ising import EXACT_SIZE_CAP, SamplerConfig, is_integer, solve_exact
 from .qp import QpInstance, batch_objective, generate, objective
 
 GRID_COLUMNS = (
@@ -59,10 +61,6 @@ TIMING_COLUMNS = ("wall_time_s", "sampler_time_s")
 EXACT_REFERENCE_MAX_N = 12
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentGrid:
     """Cartesian experiment over dimensions, diagonal scales, seeds, solvers."""
@@ -79,13 +77,13 @@ class ExperimentGrid:
             if not getattr(self, name):
                 raise ValueError(f"grid field {name!r} must be non-empty")
         # checked here so that no cell, and no parent-side reference, sees them
-        bad = [d for d in self.dims if not _is_int(d) or d < 1]
+        bad = [d for d in self.dims if not is_integer(d) or d < 1]
         if bad:
             raise ValueError(f"grid field 'dims' takes integers >= 1, got {bad}")
         bad = [s for s in self.diag_scales if not (math.isfinite(s) and s > 0)]
         if bad:
             raise ValueError(f"grid field 'diag_scales' takes finite values > 0, got {bad}")
-        bad = [s for s in self.seeds if not _is_int(s) or s < 0]
+        bad = [s for s in self.seeds if not is_integer(s) or s < 0]
         if bad:
             raise ValueError(f"grid field 'seeds' takes integers >= 0, got {bad}")
         unknown = [s for s in self.solvers if s not in SOLVERS]
@@ -136,7 +134,7 @@ def reference_solution(
     projected gradient descent. Deterministic given its seed."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    eta = 1.0 / max(1.0, float(np.linalg.norm(inst.Q, 2)))
+    eta = gradient_step_size(inst)
     points = rng.uniform(-1.0, 1.0, size=(restarts, inst.n))
     best_points = points.copy()
     best_values = batch_objective(inst, points)
@@ -161,7 +159,6 @@ def reference_solution(
         best_x=np.array(best_x),
         best_f=best_f,
         steps=iters,
-        accepted_count=0,
         wall_time_s=time.perf_counter() - t0,
         sampler_time_s=sampler_time,
         eval_count=restarts * (iters + 1) + 1,
@@ -182,20 +179,8 @@ def boundary_fraction(solution, tol: float = 1e-6) -> float:
 
 def _run_grid_cell(task) -> dict:
     solver, n, scale, seed, schedule, sampler_cfg = task
-    row = {
-        "solver": solver,
-        "n": n,
-        "diag_scale": scale,
-        "seed": seed,
-        "best_f": None,
-        "normalized_f": None,
-        "wall_time_s": None,
-        "sampler_time_s": None,
-        "eval_count": None,
-        "abs_gap": None,
-        "error": "",
-        "_best_x": None,
-    }
+    row = dict.fromkeys(GRID_COLUMNS)
+    row.update(solver=solver, n=n, diag_scale=scale, seed=seed, error="", _best_x=None)
     try:
         inst = generate(n, scale, seed)
         report = SOLVERS[solver](inst, schedule, seed, sampler_cfg)
@@ -222,11 +207,8 @@ def run_grid(
     rows are also written as CSV.
     """
     tasks = [
-        (solver, n, scale, seed, grid.schedule, grid.sampler_cfg)
-        for solver in grid.solvers
-        for n in grid.dims
-        for scale in grid.diag_scales
-        for seed in grid.seeds
+        (*cell, grid.schedule, grid.sampler_cfg)
+        for cell in itertools.product(grid.solvers, grid.dims, grid.diag_scales, grid.seeds)
     ]
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -236,35 +218,26 @@ def run_grid(
         rows = [_run_grid_cell(t) for t in tasks]
     rows.sort(key=lambda r: (r["solver"], r["n"], r["diag_scale"], r["seed"]))
 
-    # per-instance reference energies for normalization
-    references: dict[tuple, Optional[float]] = {}
-    for n in grid.dims:
-        for scale in grid.diag_scales:
-            for seed in grid.seeds:
-                key = (n, scale, seed)
-                instance_rows = [
-                    r
-                    for r in rows
-                    if (r["n"], r["diag_scale"], r["seed"]) == key and not r["error"]
-                ]
-                ref_row = next(
-                    (r for r in instance_rows if r["solver"] == "reference"), None
-                )
-                if ref_row is not None:
-                    references[key] = ref_row["best_f"]
-                elif n <= EXACT_REFERENCE_MAX_N:
-                    references[key] = reference_solution(generate(n, scale, seed)).best_f
-                elif instance_rows:
-                    references[key] = min(r["best_f"] for r in instance_rows)
-                else:
-                    references[key] = None
+    # normalize the rows that did not fail against a per-instance reference,
+    # computed in instance order
+    instance_rows = {key: [] for key in itertools.product(grid.dims, grid.diag_scales, grid.seeds)}
     for row in rows:
-        ref = references.get((row["n"], row["diag_scale"], row["seed"]))
-        if row["error"] or row["best_f"] is None or ref is None:
+        if not row["error"]:
+            instance_rows[row["n"], row["diag_scale"], row["seed"]].append(row)
+    for (n, scale, seed), ok_rows in instance_rows.items():
+        ref_row = next((r for r in ok_rows if r["solver"] == "reference"), None)
+        if ref_row is not None:
+            ref = ref_row["best_f"]
+        elif n <= EXACT_REFERENCE_MAX_N:
+            ref = reference_solution(generate(n, scale, seed)).best_f
+        elif ok_rows:
+            ref = min(r["best_f"] for r in ok_rows)
+        else:
             continue
-        row["abs_gap"] = row["best_f"] - ref
-        if ref < 0:
-            row["normalized_f"] = row["best_f"] / ref
+        for row in ok_rows:
+            row["abs_gap"] = row["best_f"] - ref
+            if ref < 0:
+                row["normalized_f"] = row["best_f"] / ref
     if not keep_points:
         for row in rows:
             row.pop("_best_x", None)
@@ -357,23 +330,17 @@ def median_table(
     return out
 
 
+def write_median_tsv(
+    rows: Sequence[dict], group_cols: Sequence[str], value_cols: Sequence[str], path
+) -> None:
+    """``median_table`` written as a tab-separated file, group columns first."""
+    columns = (*group_cols, *value_cols)
+    write_csv(median_table(rows, group_cols, value_cols), columns, path, delimiter="\t")
+
+
 def write_plot_tables(grid_rows: Sequence[dict], out_dir) -> None:
     """Plot-ready medians grouped by diagonal scale and by dimension."""
-    by_scale = median_table(
-        grid_rows, ["solver", "diag_scale"], ["best_f", "normalized_f", "abs_gap"]
-    )
-    write_csv(
-        by_scale,
-        ("solver", "diag_scale", "best_f", "normalized_f", "abs_gap"),
-        os.path.join(out_dir, "plot_by_scale.tsv"),
-        delimiter="\t",
-    )
-    by_n = median_table(
-        grid_rows, ["solver", "n"], ["best_f", "wall_time_s", "sampler_time_s"]
-    )
-    write_csv(
-        by_n,
-        ("solver", "n", "best_f", "wall_time_s", "sampler_time_s"),
-        os.path.join(out_dir, "plot_by_n.tsv"),
-        delimiter="\t",
-    )
+    write_median_tsv(grid_rows, ("solver", "diag_scale"), ("best_f", "normalized_f", "abs_gap"),
+                     os.path.join(out_dir, "plot_by_scale.tsv"))
+    write_median_tsv(grid_rows, ("solver", "n"), ("best_f", "wall_time_s", "sampler_time_s"),
+                     os.path.join(out_dir, "plot_by_n.tsv"))

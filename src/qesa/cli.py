@@ -4,13 +4,14 @@ Every solve is named by its tag in ``bench.SOLVERS``: ``solve --solver``
 takes any tag (default ``sa``, the QESA loop on the classical-annealing
 sampler) and the sweeps take a tag of ``bench.QESA_TAGS`` (default
 ``qesa_exact``). Exit codes: 0 success, 1 runtime failure
-(solver/sampler/IO), 2 usage error. Schedule and sampler defaults
-(t_max=1000, t_min=0.1, 100 steps, k0=0.1, alpha=0.95, 1000 sampler reads)
-make a bare ``solve`` run the reference configuration.
+(solver/sampler/IO), 2 usage error. Schedule and sampler flags default to
+the fields of ``anneal.ScheduleConfig`` and ``ising.SamplerConfig``, so a
+bare ``solve`` runs the reference configuration.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -144,24 +145,24 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--t-max", type=_positive_float, default=1000.0)
-    parser.add_argument("--t-min", type=_positive_float, default=0.1)
-    parser.add_argument("--steps", type=_positive_int, default=100)
-    parser.add_argument("--k0", type=_positive_float, default=0.1)
-    parser.add_argument("--alpha", type=float, default=0.95)
-    parser.add_argument(
-        "--cooling", choices=anneal.COOLING_FORMS, default="exponential"
-    )
+    default = anneal.ScheduleConfig()
+    parser.add_argument("--t-max", type=_positive_float, default=default.t_max)
+    parser.add_argument("--t-min", type=_positive_float, default=default.t_min)
+    parser.add_argument("--steps", type=_positive_int, default=default.steps)
+    parser.add_argument("--k0", type=_positive_float, default=default.k0)
+    parser.add_argument("--alpha", type=float, default=default.alpha)
+    parser.add_argument("--cooling", choices=anneal.COOLING_FORMS, default=default.cooling)
 
 
 def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--num-samples", type=_positive_int, default=1000,
+    default = ising.SamplerConfig()
+    parser.add_argument("--num-samples", type=_positive_int, default=default.num_samples,
                         help="sampler reads per subproblem")
-    parser.add_argument("--inner-sweeps", type=_positive_int, default=100,
+    parser.add_argument("--inner-sweeps", type=_positive_int, default=default.inner_sweeps,
                         help="classical sampler sweeps per read")
-    parser.add_argument("--sampler-cmd", default=None,
+    parser.add_argument("--sampler-cmd", default=default.command,
                         help="external sampler command (overrides QESA_EXTERNAL_SAMPLER)")
-    parser.add_argument("--sampler-timeout", type=_positive_float, default=60.0)
+    parser.add_argument("--sampler-timeout", type=_positive_float, default=default.timeout_s)
 
 
 def _sampler_cfg_from(args) -> ising.SamplerConfig:
@@ -281,18 +282,17 @@ def _cmd_solve(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
-    unknown = [s for s in solvers if s not in bench.SOLVERS]
-    if unknown:
-        parser.error(f"unknown solver tags: {', '.join(unknown)}")
-    grid = bench.ExperimentGrid(
-        dims=tuple(args.dims),
-        diag_scales=tuple(args.scales),
-        seeds=tuple(args.seeds),
-        solvers=solvers,
-        schedule=args.schedule,
-        sampler_cfg=_sampler_cfg_from(args),
-    )
+    try:
+        grid = bench.ExperimentGrid(
+            dims=tuple(args.dims),
+            diag_scales=tuple(args.scales),
+            seeds=tuple(args.seeds),
+            solvers=tuple(s.strip() for s in args.solvers.split(",") if s.strip()),
+            schedule=args.schedule,
+            sampler_cfg=_sampler_cfg_from(args),
+        )
+    except ValueError as exc:  # unknown solver tags or an empty list
+        parser.error(str(exc))  # exits with status 2
     os.makedirs(args.out_dir, exist_ok=True)
     out_csv = os.path.join(args.out_dir, "grid.csv")
     rows = bench.run_grid(grid, out_path=out_csv, jobs=args.jobs)
@@ -316,9 +316,8 @@ def _cmd_sweep(args) -> int:
         sampler_cfg=_sampler_cfg_from(args),
         base_seed=args.base_seed,
     )
-    medians = bench.median_table(rows, [args.param], ["best_f"])
-    bench.write_csv(medians, (args.param, "best_f"),
-                    os.path.join(args.out_dir, f"plot_by_{args.param}.tsv"), delimiter="\t")
+    bench.write_median_tsv(rows, (args.param,), ("best_f",),
+                           os.path.join(args.out_dir, f"plot_by_{args.param}.tsv"))
     print(f"wrote {out_csv} ({len(rows)} rows)")
     return 0
 
@@ -337,10 +336,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command != "generate":
         try:
-            args.schedule = anneal.ScheduleConfig(
-                t_max=args.t_max, t_min=args.t_min, steps=args.steps,
-                k0=args.k0, alpha=args.alpha, cooling=args.cooling,
-            )
+            # the schedule flags are named after ScheduleConfig's fields
+            fields = dataclasses.fields(anneal.ScheduleConfig)
+            args.schedule = anneal.ScheduleConfig(**{f.name: getattr(args, f.name) for f in fields})
         except ValueError as exc:
             parser.error(str(exc))  # exits with status 2
     if getattr(args, "solver", None) == "qesa_external" and not (

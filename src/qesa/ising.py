@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,7 +68,12 @@ class InvalidSpinError(ExternalSamplerError):
     """The external sampler returned values outside {-1, +1}."""
 
 
-def _check_finite(name: str, a) -> None:
+def readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def check_finite(name: str, a) -> None:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries (NaN or inf)")
 
@@ -95,17 +100,15 @@ class IsingModel:
         w = np.array(self.W, dtype=float)
         if w.shape != (n, n):
             raise ValueError(f"W has shape {w.shape}, expected ({n}, {n})")
-        _check_finite("W", w)
-        _check_finite("h", h)
-        _check_finite("offset", self.offset)
+        check_finite("W", w)
+        check_finite("h", h)
+        check_finite("offset", self.offset)
         if not np.array_equal(w, w.T):
             raise ValueError("W must be symmetric")
         if np.any(np.diagonal(w) != 0.0):
             raise ValueError("W must have a zero diagonal")
-        w.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "W", w)
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "W", readonly(w))
+        object.__setattr__(self, "h", readonly(h))
         object.__setattr__(self, "offset", float(self.offset))
 
     @classmethod
@@ -113,10 +116,8 @@ class IsingModel:
         """Model from fresh float arrays whose caller guarantees every check of
         the public constructor: w symmetric with a zero diagonal, everything
         finite. No copy and no check; w and h are made read-only in place."""
-        w.setflags(write=False)
-        h.setflags(write=False)
         model = object.__new__(cls)
-        model.__dict__.update(W=w, h=h, offset=float(offset))
+        model.__dict__.update(W=readonly(w), h=readonly(h), offset=float(offset))
         return model
 
     @classmethod
@@ -162,9 +163,14 @@ class SampleResult:
     sampler_time: float
 
 
+def is_integer(value) -> bool:
+    """True for Python and numpy ints; bools are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a Python or numpy int >= 1 (bools are not counts)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    """Raise ValueError unless ``value`` is an integer (see ``is_integer``) >= 1."""
+    if not is_integer(value) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -199,17 +205,32 @@ def energy(model: IsingModel, spins) -> float:
     return float(0.5 * (s @ (model.W @ s)) + model.h @ s + model.offset)
 
 
-def _batch_energies(spins: np.ndarray, w: np.ndarray, h: np.ndarray, offset: float = 0.0):
+def batch_energies(spins: np.ndarray, w: np.ndarray, h: np.ndarray, offset: float = 0.0):
     """Energy of each row of ``spins`` under couplings w, fields h and offset."""
     return 0.5 * np.einsum("ri,ri->r", spins @ w, spins) + spins @ h + offset
 
 
 def _best_sample(model: IsingModel, spins: np.ndarray, t0: float) -> SampleResult:
-    """The lowest-energy row of ``spins`` (the first wins ties), energy recomputed."""
-    best = spins[int(np.argmin(_batch_energies(spins, model.W, model.h, model.offset)))].copy()
+    """The lowest-energy row of ``spins`` (the first wins ties), energy recomputed.
+
+    Energies that overflow are compared as they come out, NaN counting as
+    +inf as in ``solve_exact``; if no row has a finite energy, or the winner's
+    recomputed energy is not finite, the model is out of float range and
+    SamplerError is raised.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = batch_energies(spins, model.W, model.h, model.offset)
+        energies[np.isnan(energies)] = np.inf
+        best = spins[int(np.argmin(energies))].copy()
+        best_energy = energy(model, best)
+    if energies.min() == np.inf or not math.isfinite(best_energy):
+        raise SamplerError(
+            f"no read of the n={model.n} model has a finite energy "
+            "(the energies overflow or are NaN)"
+        )
     return SampleResult(
         best=best,
-        best_energy=energy(model, best),
+        best_energy=best_energy,
         num_samples=spins.shape[0],
         sampler_time=time.perf_counter() - t0,
     )
@@ -220,8 +241,7 @@ def _spin_table(n: int) -> np.ndarray:
     """All 2^n spin vectors in lexicographic order (-1 before +1); row i spells i in binary."""
     bits = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)
     table = np.where(bits & 1 == 1, 1.0, -1.0)
-    table.setflags(write=False)
-    return table
+    return readonly(table)
 
 
 def _energy_blocks(w: np.ndarray, h: np.ndarray, offset: float, max_entries: int = 1 << 20):
@@ -233,8 +253,8 @@ def _energy_blocks(w: np.ndarray, h: np.ndarray, offset: float, max_entries: int
     """
     na = h.shape[0] // 2
     sa, sb = _spin_table(na), _spin_table(h.shape[0] - na)
-    qa = _batch_energies(sa, w[:na, :na], h[:na])
-    qb = _batch_energies(sb, w[na:, na:], h[na:], offset)
+    qa = batch_energies(sa, w[:na, :na], h[:na])
+    qb = batch_energies(sb, w[na:, na:], h[na:], offset)
     # one product per block: [S_A W_AB, qA, 1] . [S_B, 1, qB]^T
     left = np.column_stack((sa @ w[:na, na:], qa, np.ones_like(qa)))
     right = np.column_stack((sb, np.ones_like(qb), qb)).T
@@ -477,42 +497,23 @@ def solve_external(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
     return replace(_best_sample(model, spins, t0), sampler_time=elapsed)
 
 
-def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-class _ReseededSampler:
-    """Give a stochastic backend a fresh deterministic child seed on every call.
-
-    Repeated calls within one solve see different streams, while the whole
-    sequence is reproducible from the configured seed.
-    """
-
-    def __init__(self, fn: Callable[[IsingModel, SamplerConfig], SampleResult], cfg: SamplerConfig):
-        self._fn = fn
-        self._cfg = cfg
-        self._seeds = _as_seed_sequence(cfg.seed)
-
-    def __call__(self, model: IsingModel) -> SampleResult:
-        child = self._seeds.spawn(1)[0]
-        return self._fn(model, replace(self._cfg, seed=child))
-
-
 def make_sampler(backend: str, cfg: Optional[SamplerConfig] = None):
     """Build a ``model -> SampleResult`` callable for the named backend.
 
     Backends: "exact", "sa", "random", "external". A fresh sampler should be
-    created per solve; stochastic backends keep per-call seed state.
+    created per solve: "sa" and "random" give their backend a fresh child of
+    ``SeedSequence(cfg.seed)`` on every call, so repeated calls within one
+    solve see different streams while the whole sequence is reproducible.
     """
     cfg = cfg if cfg is not None else SamplerConfig()
     if backend == "exact":
         return solve_exact
-    if backend == "sa":
-        return _ReseededSampler(solve_classical_sa, cfg)
-    if backend == "random":
-        return _ReseededSampler(solve_random, cfg)
+    if backend in ("sa", "random"):
+        seeds = cfg.seed
+        if not isinstance(seeds, np.random.SeedSequence):
+            seeds = np.random.SeedSequence(seeds)
+        solve = solve_classical_sa if backend == "sa" else solve_random
+        return lambda model: solve(model, replace(cfg, seed=seeds.spawn(1)[0]))
     if backend == "external":
         return lambda model: solve_external(model, cfg)
     raise ValueError(

@@ -14,16 +14,13 @@ from typing import Optional
 
 import numpy as np
 
+from .ising import batch_energies, check_finite, is_integer, readonly
+
 FORMAT_VERSION = 1
 
 
 class InstanceFormatError(ValueError):
     """Raised when an instance file violates the on-disk schema."""
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,14 +48,13 @@ class QpInstance:
             )
         if q.shape[0] < 1:
             raise ValueError("instance dimension must be >= 1")
-        for name, a in (("Q", q), ("c", c)):
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} has non-finite entries (NaN or inf)")
+        check_finite("Q", q)
+        check_finite("c", c)
         was_symmetric = bool(np.array_equal(q, q.T))
         if not was_symmetric:
             q = 0.5 * (q + q.T)
-        object.__setattr__(self, "Q", _readonly(q))
-        object.__setattr__(self, "c", _readonly(c))
+        object.__setattr__(self, "Q", readonly(q))
+        object.__setattr__(self, "c", readonly(c))
         object.__setattr__(self, "was_symmetric", was_symmetric)
         if self.meta is not None:
             object.__setattr__(self, "meta", dict(self.meta))
@@ -79,7 +75,7 @@ class QpInstance:
         return float(np.max(np.abs(self.Q)))
 
 
-def _check_point(inst: QpInstance, x) -> np.ndarray:
+def check_point(inst: QpInstance, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise ValueError(f"point has shape {x.shape}, instance expects ({inst.n},)")
@@ -88,18 +84,18 @@ def _check_point(inst: QpInstance, x) -> np.ndarray:
 
 def objective(inst: QpInstance, x) -> float:
     """Evaluate 0.5 * x^T Q x + c^T x in double precision."""
-    x = _check_point(inst, x)
+    x = check_point(inst, x)
     return float(0.5 * (x @ (inst.Q @ x)) + inst.c @ x)
 
 
 def batch_objective(inst: QpInstance, X: np.ndarray) -> np.ndarray:
     """Objective of every row of X, shape (r, n) -> (r,)."""
-    return 0.5 * np.einsum("ri,ri->r", X @ inst.Q, X) + X @ inst.c
+    return batch_energies(X, inst.Q, inst.c)
 
 
 def gradient(inst: QpInstance, x) -> np.ndarray:
     """Gradient Q x + c of the objective."""
-    x = _check_point(inst, x)
+    x = check_point(inst, x)
     return inst.Q @ x + inst.c
 
 
@@ -168,7 +164,7 @@ def load(path) -> QpInstance:
             f"{path}: unsupported format version {doc['version']!r}"
         )
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_integer(n) or n < 1:
         raise InstanceFormatError(f"{path}: n must be a positive integer, got {n!r}")
     try:
         q = np.array(doc["Q"], dtype=float)
@@ -231,5 +227,5 @@ def rescale_to_unit_box(Q, c, lower, upper) -> BoxRescaling:
     offset = float(0.5 * center @ (0.5 * (q + q.T) @ center) + c @ center)
     inst = QpInstance(Q=q_unit, c=c_unit, meta=None)
     return BoxRescaling(
-        instance=inst, offset=offset, center=_readonly(center), half_width=_readonly(half)
+        instance=inst, offset=offset, center=readonly(center), half_width=readonly(half)
     )

@@ -1,9 +1,11 @@
+import types
+
 import numpy as np
 import pytest
 
 from qesa import anneal, ising, qp
 
-from conftest import all_spin_vectors, best_corner_oracle, objective_oracle
+from conftest import all_spin_vectors, best_corner_oracle, fake_sampler_cmd, objective_oracle
 
 
 def test_schedule_validation():
@@ -247,6 +249,83 @@ def test_qesa_solve_invariants(rng):
     assert report.best_f == pytest.approx(min(trajectory_min, report.best_f), abs=1e-9)
     assert 0 <= report.accepted_count <= report.steps
     assert report.eval_count == report.steps + 1
+
+
+def test_wall_time_covers_the_whole_solve(monkeypatch):
+    # a clock that only the generators qesa_solve builds advance: the loop's
+    # and the direction policy's, so the whole call reads exactly 2 s
+    inst = qp.generate(4, 1.0, seed=0)
+    clock = [0.0]
+    monkeypatch.setattr(anneal, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    default_rng = np.random.default_rng
+
+    def slow_default_rng(*args, **kwargs):
+        clock[0] += 1.0
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", slow_default_rng)
+    report = anneal.qesa_solve(inst, anneal.ScheduleConfig(steps=3), ising.solve_exact,
+                               policy=anneal.DirectionPolicy(0.5), seed=0)
+    assert report.wall_time_s == 2.0
+
+
+# (step backend, corner backend or None for the step backend)
+CONTRACT_BACKENDS = {
+    "exact": ("exact", None),
+    "sa": ("sa", None),
+    "random": ("random", None),
+    "sa_corner_exact_steps": ("exact", "sa"),
+    "external": ("external", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_BACKENDS))
+def test_every_model_of_a_solve_predicts_the_objective_change(name, monkeypatch):
+    """The contract a traced run checks, for every backend: each objective
+    evaluation is one ``anneal.objective`` call counted in ``eval_count``,
+    and once the solve has returned, every model it built still has energy
+    f(x + k s) - f(x) at the direction s its sampler returned (the corner
+    model is the case x = 0, k = 1)."""
+    backend, init_backend = CONTRACT_BACKENDS[name]
+    inst = qp.generate(8, 5.0, seed=3)
+    cfg = ising.SamplerConfig(num_samples=8, inner_sweeps=5, seed=4,
+                              command=fake_sampler_cmd("exact"))
+    built, sampled = {}, []  # id(model) -> (model, x, k); (id(model), direction)
+    direction_ising = anneal.direction_ising
+
+    def record_build(inst_, x, k):
+        model = direction_ising(inst_, x, k)
+        built[id(model)] = (model, np.array(x, dtype=float), k)
+        return model
+
+    def recording(sampler):
+        def sample(model):
+            result = sampler(model)
+            sampled.append((id(model), np.array(result.best, dtype=float)))
+            return result
+        return sample
+
+    evaluations = [0]
+    objective = anneal.objective
+
+    def counted_objective(*args):
+        evaluations[0] += 1
+        return objective(*args)
+
+    monkeypatch.setattr(anneal, "direction_ising", record_build)
+    monkeypatch.setattr(anneal, "objective", counted_objective)
+    sampler = recording(ising.make_sampler(backend, cfg))
+    init_sampler = None if init_backend is None else recording(ising.make_sampler(init_backend, cfg))
+    report = anneal.qesa_solve(inst, anneal.ScheduleConfig(steps=5), sampler, seed=1,
+                               init_sampler=init_sampler)
+    assert evaluations[0] == report.eval_count == 6
+    assert len(sampled) == 6
+    for key, s in sampled:
+        model, x, k = built[key]
+        f_x = objective_oracle(inst.Q, inst.c, x)
+        f_new = objective_oracle(inst.Q, inst.c, x + k * s)
+        scale = max(1.0, abs(f_x), abs(f_new))
+        assert abs(ising.energy(model, s) - (f_new - f_x)) <= 1e-9 * scale
 
 
 def test_qesa_solve_never_loses_init_quality(rng):

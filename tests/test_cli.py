@@ -239,9 +239,13 @@ def test_bench_seed_ranges_and_plot_data(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_unknown_solver_usage_error(tmp_path):
+def test_bench_unknown_solver_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["bench", "--solvers", "qesa_exact,warpdrive", "-o", str(tmp_path)])
+    assert err.value.code == 2
+    assert "unknown solver tags ['warpdrive']" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:  # no tag at all
+        cli.main(["bench", "--solvers", ",", "-o", str(tmp_path)])
     assert err.value.code == 2
 
 

@@ -286,18 +286,46 @@ def test_classical_sa_matches_reference_loop_when_uniforms_tie():
 
 
 @pytest.mark.parametrize("seed", [2, 5, 8])
-def test_classical_sa_matches_reference_loop_when_fields_overflow(seed):
+def test_classical_sa_matches_reference_loop_when_fields_overflow(seed, monkeypatch):
     # With one restart the local field is a BLAS dot product. Near the float
     # maximum its partial sums overflow, so only column i's summation order,
-    # the reference's, makes the same decisions. The energies overflow in
-    # both, hence the ignored warnings.
+    # the reference's, makes the same decisions. The final energy overflows
+    # in both, which ends each in SamplerError, so the final spins each one
+    # hands to _best_sample are compared instead.
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.uniform(-1.0, 1.0, (9, 9)) * 1e308, 1)
     model = ising.IsingModel(W=upper + upper.T, h=np.zeros(9))
     cfg = ising.SamplerConfig(num_samples=1, inner_sweeps=1, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _same_sample(ising.solve_classical_sa(model, cfg), reference_sa(model, cfg))
+    final_spins = []
+    best_sample = ising._best_sample
+
+    def capture(model, spins, t0):
+        final_spins.append(spins.copy())
+        return best_sample(model, spins, t0)
+
+    monkeypatch.setattr(ising, "_best_sample", capture)
+    with pytest.raises(ising.SamplerError, match="no read of the n=9 model has a finite energy"):
+        sa_against_reference(model, cfg)  # the kernel, with every warning an error
+    with pytest.raises(ising.SamplerError, match="no read of the n=9 model has a finite energy"):
+        with warnings.catch_warnings():  # the earlier loop's own overflow warnings
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reference_sa(model, cfg)
+    assert len(final_spins) == 2
+    assert final_spins[0].tobytes() == final_spins[1].tobytes()
+
+
+def test_best_sample_skips_nan_energies_and_raises_without_a_finite_one(monkeypatch):
+    m = _model({(0, 1): 1.0}, [0.0, 0.0])
+    spins = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]])
+    monkeypatch.setattr(ising, "batch_energies", lambda *args: np.array([np.nan, 3.0, -1.0]))
+    np.testing.assert_array_equal(ising._best_sample(m, spins, 0.0).best, [1.0, -1.0])
+    monkeypatch.setattr(ising, "batch_energies", lambda *args: np.array([np.nan, np.inf, np.nan]))
+    with pytest.raises(ising.SamplerError, match="finite energy"):
+        ising._best_sample(m, spins, 0.0)
+    monkeypatch.setattr(ising, "batch_energies", lambda *args: np.array([np.nan, 3.0, -1.0]))
+    monkeypatch.setattr(ising, "energy", lambda model, s: np.inf)
+    with pytest.raises(ising.SamplerError, match="finite energy"):
+        ising._best_sample(m, spins, 0.0)
 
 
 def test_solve_random_never_beats_exact(rng):
