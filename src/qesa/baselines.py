@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .anneal import DirectionPolicy, ScheduleConfig, SolveReport, init_ising, qesa_solve
-from .ising import EXACT_SIZE_CAP, SamplerConfig, check_count, make_sampler, solve_exact
+from .ising import SamplerConfig, check_count, make_sampler, solve_exact
 from .qp import QpInstance, batch_objective, gradient, objective
 
 
@@ -108,7 +108,7 @@ def solve_projected_gradient(
     )
 
 
-def solve_corner_exact(inst: QpInstance, size_cap: int = EXACT_SIZE_CAP) -> SolveReport:
+def solve_corner_exact(inst: QpInstance) -> SolveReport:
     """Exact best corner of the box by full enumeration.
 
     The report is flagged ``corner_restricted``: this is the optimum over
@@ -116,7 +116,7 @@ def solve_corner_exact(inst: QpInstance, size_cap: int = EXACT_SIZE_CAP) -> Solv
     is interior the two differ).
     """
     t0 = time.perf_counter()
-    result = solve_exact(init_ising(inst), size_cap=size_cap)
+    result = solve_exact(init_ising(inst))
     x = np.asarray(result.best, dtype=float)
     best_f = objective(inst, x)
     return SolveReport(

@@ -127,18 +127,22 @@ SOLVERS = {
 QESA_TAGS = ("qesa_exact", "sa", "qesa_random", "qesa_external", "qesa_sa_exact")
 
 
-def reference_solution(
-    inst: QpInstance, restarts: int = 100, iters: int = 200, seed: int = 0
-) -> SolveReport:
+# reference_solution's projected gradient: restarts, iterations and seed
+REFERENCE_RESTARTS = 100
+REFERENCE_ITERS = 200
+REFERENCE_SEED = 0
+
+
+def reference_solution(inst: QpInstance) -> SolveReport:
     """Desk-scale reference: best of exact corner enumeration and multistart
-    projected gradient descent. Deterministic given its seed."""
+    projected gradient descent. Deterministic."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(REFERENCE_SEED)
     eta = gradient_step_size(inst)
-    points = rng.uniform(-1.0, 1.0, size=(restarts, inst.n))
+    points = rng.uniform(-1.0, 1.0, size=(REFERENCE_RESTARTS, inst.n))
     best_points = points.copy()
     best_values = batch_objective(inst, points)
-    for _ in range(iters):
+    for _ in range(REFERENCE_ITERS):
         points = np.clip(points - eta * (points @ inst.Q + inst.c), -1.0, 1.0)
         values = batch_objective(inst, points)
         improved = values < best_values
@@ -158,10 +162,10 @@ def reference_solution(
         final_x=best_x,
         best_x=np.array(best_x),
         best_f=best_f,
-        steps=iters,
+        steps=REFERENCE_ITERS,
         wall_time_s=time.perf_counter() - t0,
         sampler_time_s=sampler_time,
-        eval_count=restarts * (iters + 1) + 1,
+        eval_count=REFERENCE_RESTARTS * (REFERENCE_ITERS + 1) + 1,
     )
 
 

@@ -3,11 +3,10 @@
 The canonical energy is E(s) = sum_{i<j} J_ij s_i s_j + sum_i h_i s_i + offset
 over spins s_i in {-1, +1}. Models hold the couplings as one dense symmetric
 zero-diagonal matrix W (W_ij = W_ji = J_ij), so E(s) = 0.5 s.W.s + h.s +
-offset; the (i, j) -> J_ij dict form appears only in
-``IsingModel.from_couplings``, the read-only ``IsingModel.J`` view and the
-external-sampler wire format. The offset carries constants dropped when a
-quadratic objective is reduced to this form, so sampler energies stay
-directly comparable to objective deltas.
+offset; only the external-sampler wire codec lists them as [i, j, J_ij]
+triples. The offset carries constants dropped when a quadratic objective is
+reduced to this form, so sampler energies stay directly comparable to
+objective deltas.
 
 Backends:
   * ``solve_exact``       dominance fixing, then meet-in-the-middle
@@ -18,8 +17,9 @@ Backends:
   * ``solve_random``       best of uniform random configurations,
   * ``solve_external``     one-shot JSON-lines subprocess adapter.
 
-Every backend recomputes the energy of its winning configuration with the
-local ``energy`` function; reported energies are never trusted.
+Every backend takes the first lowest energy, NaN counting as +inf, and
+recomputes the winner's energy locally (reported energies are never
+trusted); a non-finite energy raises SamplerError.
 """
 from __future__ import annotations
 
@@ -30,14 +30,15 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from types import MappingProxyType
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 ENV_EXTERNAL_SAMPLER = "QESA_EXTERNAL_SAMPLER"
 EXACT_SIZE_CAP = 24
+# the exact sampler scores at most this many states per matrix product (8 MB)
+EXACT_BLOCK_ENTRIES = 1 << 20
 
 # classical annealer temperature window, relative to the largest |J|, |h|
 SA_T_HIGH_FACTOR = 10.0
@@ -83,9 +84,8 @@ class IsingModel:
     """Dense couplings W (symmetric, zero diagonal), fields h, constant offset.
 
     ``W[i, j] == W[j, i] == J_ij``, so the energy is 0.5 * s.W.s + h.s +
-    offset. W and h are stored read-only. The sparse (i, j) -> J_ij form
-    exists only at the edges: ``from_couplings`` builds a model from it, the
-    ``J`` view reads it back, and the external-sampler wire format uses it.
+    offset. W and h are stored read-only; W is the only form of the
+    couplings outside the external-sampler wire codec.
     """
 
     W: np.ndarray
@@ -120,34 +120,9 @@ class IsingModel:
         model.__dict__.update(W=readonly(w), h=readonly(h), offset=float(offset))
         return model
 
-    @classmethod
-    def from_couplings(cls, n: int, J: dict, h, offset: float = 0.0) -> "IsingModel":
-        """Model from upper-triangular couplings {(i, j): J_ij} with 0 <= i < j < n."""
-        if int(n) != n or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        n = int(n)
-        w = np.zeros((n, n))
-        for key, value in J.items():
-            i, j = int(key[0]), int(key[1])
-            if not (0 <= i < j < n):
-                raise ValueError(f"coupling key {key!r} violates 0 <= i < j < n={n}")
-            w[i, j] = w[j, i] = value
-        h = np.asarray(h, dtype=float)
-        if h.shape != (n,):
-            raise ValueError(f"h has shape {h.shape}, expected ({n},)")
-        return cls(W=w, h=h, offset=offset)
-
     @property
     def n(self) -> int:
         return self.h.shape[0]
-
-    @cached_property
-    def J(self) -> MappingProxyType:
-        """Read-only {(i, j): J_ij} view of the nonzero couplings, i < j."""
-        iu, ju = np.nonzero(np.triu(self.W, 1))
-        return MappingProxyType(
-            {(int(i), int(j)): float(self.W[i, j]) for i, j in zip(iu, ju)}
-        )
 
     def max_abs_coefficient(self) -> float:
         return max(float(np.max(np.abs(self.W))), float(np.max(np.abs(self.h))))
@@ -193,8 +168,8 @@ class SamplerConfig:
     def __post_init__(self):
         check_count("num_samples", self.num_samples)
         check_count("inner_sweeps", self.inner_sweeps)
-        if not self.timeout_s > 0:
-            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
+        if not (self.timeout_s > 0 and math.isfinite(self.timeout_s)):
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
 
 
 def energy(model: IsingModel, spins) -> float:
@@ -210,20 +185,24 @@ def batch_energies(spins: np.ndarray, w: np.ndarray, h: np.ndarray, offset: floa
     return 0.5 * np.einsum("ri,ri->r", spins @ w, spins) + spins @ h + offset
 
 
-def _best_sample(model: IsingModel, spins: np.ndarray, t0: float) -> SampleResult:
-    """The lowest-energy row of ``spins`` (the first wins ties), energy recomputed.
-
-    Energies that overflow are compared as they come out, NaN counting as
-    +inf as in ``solve_exact``; if no row has a finite energy, or the winner's
-    recomputed energy is not finite, the model is out of float range and
-    SamplerError is raised.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies = batch_energies(spins, model.W, model.h, model.offset)
+def _first_lowest(energies: np.ndarray) -> tuple[int, float]:
+    """(flat index, value) of the first lowest entry, NaN counting as +inf.
+    argmin stops at the first NaN, so only then are the NaNs set to +inf, in
+    place, and the search repeated."""
+    i = int(np.argmin(energies))
+    if np.isnan(energies.flat[i]):
         energies[np.isnan(energies)] = np.inf
-        best = spins[int(np.argmin(energies))].copy()
-        best_energy = energy(model, best)
-    if energies.min() == np.inf or not math.isfinite(best_energy):
+        i = int(np.argmin(energies))
+    return i, float(energies.flat[i])
+
+
+def _finish(model: IsingModel, best: np.ndarray, lowest: float, num_samples: int,
+            t0: float) -> SampleResult:
+    """Result for the winner ``best``, which scored ``lowest``, its energy
+    recomputed; SamplerError if either energy is not finite. Callers run it
+    under ``np.errstate(over="ignore", invalid="ignore")``."""
+    best_energy = energy(model, best)
+    if not (math.isfinite(lowest) and math.isfinite(best_energy)):
         raise SamplerError(
             f"no read of the n={model.n} model has a finite energy "
             "(the energies overflow or are NaN)"
@@ -231,9 +210,16 @@ def _best_sample(model: IsingModel, spins: np.ndarray, t0: float) -> SampleResul
     return SampleResult(
         best=best,
         best_energy=best_energy,
-        num_samples=spins.shape[0],
+        num_samples=num_samples,
         sampler_time=time.perf_counter() - t0,
     )
+
+
+def _best_sample(model: IsingModel, spins: np.ndarray, t0: float) -> SampleResult:
+    """The first lowest-energy row of ``spins``, through ``_finish``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        i, lowest = _first_lowest(batch_energies(spins, model.W, model.h, model.offset))
+        return _finish(model, spins[i].copy(), lowest, spins.shape[0], t0)
 
 
 @lru_cache(maxsize=16)
@@ -244,7 +230,7 @@ def _spin_table(n: int) -> np.ndarray:
     return readonly(table)
 
 
-def _energy_blocks(w: np.ndarray, h: np.ndarray, offset: float, max_entries: int = 1 << 20):
+def _energy_blocks(w: np.ndarray, h: np.ndarray, offset: float):
     """Energies of all 2^n states as row blocks of E[a, b] over (S_A[a], S_B[b]).
 
     E[a, b] = qA[a] + qB[b] + (S_A W_AB S_B^T)[a, b], with each half's own
@@ -258,7 +244,7 @@ def _energy_blocks(w: np.ndarray, h: np.ndarray, offset: float, max_entries: int
     # one product per block: [S_A W_AB, qA, 1] . [S_B, 1, qB]^T
     left = np.column_stack((sa @ w[:na, na:], qa, np.ones_like(qa)))
     right = np.column_stack((sb, np.ones_like(qb), qb)).T
-    rows = max(1, max_entries // qb.shape[0])
+    rows = max(1, EXACT_BLOCK_ENTRIES // qb.shape[0])
     for start in range(0, qa.shape[0], rows):
         yield left[start : start + rows] @ right
 
@@ -291,49 +277,39 @@ def solve_exact(model: IsingModel, size_cap: int = EXACT_SIZE_CAP) -> SampleResu
     lexicographically first ground state as enumerating all n. The free
     spins split into A (the first m//2) and B; their 2^m energies come from
     two cached half-tables and the cross term S_A W_AB S_B^T, one matrix
-    product per block of at most 2^20 entries (8 MB). NaN counts as +inf.
-    Ties go to the first state (-1 before +1): row-major (a, b) order is
-    lexicographic, each block's argmin takes its first minimum, and a later
-    block must be strictly lower. Refuses more than ``size_cap`` free spins
-    (exponential blow-up guard); the corner model usually fixes none, so the
-    ``qesa_sa_exact`` solver tag pairs exact steps with an ``sa`` corner.
-    ``num_samples`` is nominal: 2^n.
+    product per block of at most ``EXACT_BLOCK_ENTRIES`` (2^20) entries.
+    NaN counts as +inf. Ties go to the first state (-1 before +1): row-major
+    (a, b) order is lexicographic, each block's argmin takes its first
+    minimum, and a later block must be strictly lower. Refuses more than
+    ``size_cap`` free spins (exponential blow-up guard); the corner model
+    usually fixes none, so the ``qesa_sa_exact`` solver tag pairs exact
+    steps with an ``sa`` corner. ``num_samples`` is nominal: 2^n. Energies
+    that overflow raise SamplerError, as on every backend, with no warning.
     """
     t0 = time.perf_counter()
-    s, field = _fix_dominated(model)
-    free = np.flatnonzero(s == 0.0)
-    m = free.size
-    if m > size_cap:
-        raise ValueError(
-            f"solve_exact enumerates the 2^m states of the spins that dominance "
-            f"fixing leaves free; m={m} of n={model.n} exceeds the cap of "
-            f"{size_cap} (raise size_cap explicitly if you really mean it)"
-        )
-    if m:
-        w = model.W if m == model.n else model.W[np.ix_(free, free)]
-        best_e, best_i, start = np.inf, None, 0
-        for block in _energy_blocks(w, field[free], model.offset):
-            i = int(np.argmin(block))
-            if np.isnan(block.flat[i]):  # argmin stops at the first NaN
-                block[np.isnan(block)] = np.inf
-                i = int(np.argmin(block))
-            if block.flat[i] < best_e:
-                best_e, best_i = float(block.flat[i]), start + i
-            start += block.size
-        if best_i is None:
-            raise SamplerError(
-                f"no state of the n={model.n} model ({m} free spins) has an energy "
-                "below +inf (every energy is NaN or overflows)"
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, field = _fix_dominated(model)
+        free = np.flatnonzero(s == 0.0)
+        m = free.size
+        if m > size_cap:
+            raise ValueError(
+                f"solve_exact enumerates the 2^m states of the spins that dominance "
+                f"fixing leaves free; m={m} of n={model.n} exceeds the cap of "
+                f"{size_cap} (raise size_cap explicitly if you really mean it)"
             )
-        nb = m - m // 2  # best_i is the lexicographic index of the free spins' state
-        a, b = divmod(best_i, 1 << nb)
-        s[free] = np.concatenate((_spin_table(m // 2)[a], _spin_table(nb)[b]))
-    return SampleResult(
-        best=s,
-        best_energy=energy(model, s),
-        num_samples=1 << model.n,
-        sampler_time=time.perf_counter() - t0,
-    )
+        lowest = model.offset  # the score of the one state of no free spins
+        if m:
+            w = model.W if m == model.n else model.W[np.ix_(free, free)]
+            lowest, best, start = math.inf, 0, 0
+            for block in _energy_blocks(w, field[free], model.offset):
+                i, e = _first_lowest(block)
+                if e < lowest:
+                    lowest, best = e, start + i
+                start += block.size
+            nb = m - m // 2  # best is the lexicographic index of the free spins' state
+            a, b = divmod(best, 1 << nb)
+            s[free] = np.concatenate((_spin_table(m // 2)[a], _spin_table(nb)[b]))
+        return _finish(model, s, lowest, 1 << model.n, t0)
 
 
 def solve_classical_sa(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
@@ -362,7 +338,8 @@ def solve_classical_sa(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
     A temperature that underflows to 0 or overflows (largest coefficient
     below about 1e-306 or above about 1e307) would make delta / -T a NaN for
     delta = 0 or delta = -inf. Such a sweep flips where delta <= 0, or where
-    delta < inf at T = inf, as Metropolis with that T accepts.
+    delta < inf at T = inf, as Metropolis with that T accepts. An overflowing
+    field can give inf - inf = NaN, which never flips, without a warning.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -377,7 +354,7 @@ def solve_classical_sa(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
         ratio = (t_low / t_high) ** (1.0 / (sweeps - 1)) if sweeps > 1 else 1.0
         views = [(spins[:, i], w[:, i], h[i, ...]) for i in range(n)]
         field, x, negated, flip = (np.empty(restarts, t) for t in (float, float, float, bool))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for sweep in range(sweeps):
                 temp = t_high * ratio**sweep
                 proper, neg_temp = 0.0 < temp < math.inf, np.array(-temp)
@@ -406,19 +383,32 @@ def solve_random(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
 
 
 def model_to_request(model: IsingModel, num_samples: int) -> dict:
-    """Wire-format request for the external sampler protocol."""
+    """Wire-format request: J lists the nonzero upper triangle of W row by row."""
+    iu, ju = np.nonzero(np.triu(model.W, 1))
     return {
         "n": model.n,
         "h": model.h.tolist(),
-        "J": [[i, j, value] for (i, j), value in model.J.items()],
+        "J": [[int(i), int(j), float(model.W[i, j])] for i, j in zip(iu, ju)],
         "num_samples": int(num_samples),
     }
 
 
 def model_from_request(doc: dict) -> IsingModel:
-    """Rebuild a model from a wire-format request (used by loop-back doubles)."""
-    couplings = {(int(i), int(j)): float(v) for i, j, v in doc["J"]}
-    return IsingModel.from_couplings(int(doc["n"]), couplings, doc["h"])
+    """Model of a wire-format request (used by loop-back doubles); a ValueError
+    names a bad n, a coupling outside 0 <= i < j < n or a wrong-length h."""
+    n = int(doc["n"])
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    w = np.zeros((n, n))
+    for i, j, value in doc["J"]:
+        i, j = int(i), int(j)
+        if not 0 <= i < j < n:
+            raise ValueError(f"coupling key {(i, j)!r} violates 0 <= i < j < n={n}")
+        w[i, j] = w[j, i] = float(value)
+    h = np.asarray(doc["h"], dtype=float)
+    if h.shape != (n,):
+        raise ValueError(f"h has shape {h.shape}, expected ({n},)")
+    return IsingModel(W=w, h=h)
 
 
 def solve_external(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
@@ -478,18 +468,16 @@ def solve_external(model: IsingModel, cfg: SamplerConfig) -> SampleResult:
     samples = response["samples"]
     if not isinstance(samples, list) or not samples:
         raise SamplerProtocolError("response contains no samples")
-    try:
-        spins = np.array(samples, dtype=float)
-    except (TypeError, ValueError):
-        spins = None
-    if spins is None or spins.shape != (len(samples), model.n):
-        for k, sample in enumerate(samples):  # name the first malformed sample
-            try:
-                s = np.asarray(sample, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise SamplerProtocolError(f"sample {k} is not numeric: {exc}") from exc
-            if s.shape != (model.n,):
-                raise SamplerProtocolError(f"sample {k} has length {s.size}, expected {model.n}")
+    rows = []
+    for k, sample in enumerate(samples):  # name the first malformed sample
+        try:
+            s = np.asarray(sample, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SamplerProtocolError(f"sample {k} is not numeric: {exc}") from exc
+        if s.shape != (model.n,):
+            raise SamplerProtocolError(f"sample {k} has length {s.size}, expected {model.n}")
+        rows.append(s)
+    spins = np.stack(rows)
     bad = np.argwhere(~np.isin(spins, (-1.0, 1.0)))
     if bad.size:
         k, i = bad[0]

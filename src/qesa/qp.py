@@ -8,13 +8,14 @@ the generator uses numpy's PCG64 stream (``np.random.default_rng``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .ising import batch_energies, check_finite, is_integer, readonly
+from .ising import batch_energies, check_count, check_finite, is_integer, readonly
 
 FORMAT_VERSION = 1
 
@@ -113,11 +114,9 @@ def generate(n: int, diag_scale: float, seed: int) -> QpInstance:
     Density is 1 (every entry sampled). Identical (n, diag_scale, seed)
     triples produce bit-identical instances.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not diag_scale > 0:
-        raise ValueError(f"diag_scale must be > 0, got {diag_scale!r}")
-    n = int(n)
+    check_count("n", n)
+    if not (diag_scale > 0 and math.isfinite(diag_scale)):
+        raise ValueError(f"diag_scale must be finite and > 0, got {diag_scale!r}")
     rng = np.random.default_rng(seed)
     q = np.zeros((n, n))
     iu = np.triu_indices(n)

@@ -87,6 +87,17 @@ def random_model(rng, n):
     return couplings, h, offset
 
 
+def ising_model(couplings, h, offset=0.0):
+    """IsingModel from upper-triangular couplings {(i, j): J_ij}, the form the
+    dict-based oracles here take."""
+    from qesa.ising import IsingModel
+
+    w = np.zeros((len(h), len(h)))
+    for (i, j), value in couplings.items():
+        w[i, j] = w[j, i] = value
+    return IsingModel(W=w, h=h, offset=offset)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

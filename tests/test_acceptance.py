@@ -13,7 +13,7 @@ import pytest
 
 from qesa import anneal, baselines, bench, ising, qp
 
-from conftest import all_spin_vectors, fake_sampler_cmd, random_model
+from conftest import all_spin_vectors, fake_sampler_cmd, ising_model, random_model
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -223,7 +223,7 @@ def test_c10_external_sampler_loopback():
     for _ in range(20):
         n = int(rng.integers(2, 13))
         couplings, h, offset = random_model(rng, n)
-        model = ising.IsingModel.from_couplings(n, couplings, h, offset)
+        model = ising_model(couplings, h, offset)
         direct = ising.solve_exact(model)
         looped = ising.solve_external(model, cfg)
         if (

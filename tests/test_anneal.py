@@ -85,14 +85,14 @@ def test_metropolis_requires_positive_temperature(rng):
 def test_direction_ising_hand_values():
     inst = qp.QpInstance(Q=[[0.0, 2.0], [2.0, 0.0]], c=[0.0, 0.0])
     model = anneal.direction_ising(inst, [0.0, 0.0], 1.0)
-    assert model.J == {(0, 1): 2.0}
+    np.testing.assert_array_equal(model.W, [[0.0, 2.0], [2.0, 0.0]])
     np.testing.assert_array_equal(model.h, [0.0, 0.0])
     assert model.offset == 0.0
     assert ising.solve_exact(model).best_energy == -2.0
 
     inst = qp.QpInstance(Q=[[2.0, 0.0], [0.0, 2.0]], c=[0.0, 0.0])
     model = anneal.direction_ising(inst, [0.0, 0.0], 0.5)
-    assert model.J == {}
+    np.testing.assert_array_equal(model.W, np.zeros((2, 2)))
     assert model.offset == pytest.approx(0.5, abs=1e-15)
     for s in all_spin_vectors(2):
         assert ising.energy(model, s) == pytest.approx(0.5, abs=1e-15)
@@ -168,14 +168,14 @@ def test_direction_argmin_transfer(rng):
 def test_init_ising_hand_values():
     inst = qp.QpInstance(Q=[[2.0, 1.0], [1.0, 2.0]], c=[0.0, 0.0])
     model = anneal.init_ising(inst)
-    assert model.J == {(0, 1): 1.0}
+    np.testing.assert_array_equal(model.W, [[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_array_equal(model.h, [0.0, 0.0])
     assert model.offset == 2.0
     assert ising.energy(model, [1.0, -1.0]) == pytest.approx(1.0, abs=1e-12)
 
     diag = qp.QpInstance(Q=np.diag([3.0, -2.0]), c=[1.0, -4.0])
     model = anneal.init_ising(diag)
-    assert model.J == {}
+    np.testing.assert_array_equal(model.W, np.zeros((2, 2)))
     best = ising.solve_exact(model).best
     np.testing.assert_array_equal(best, -np.sign(diag.c))
 
@@ -387,8 +387,7 @@ def test_direction_model_scale_consistency(rng):
     scaled = anneal.direction_ising(scaled_inst, x, k)
     assert scaled.offset == pytest.approx(2.0 * base.offset, rel=1e-12)
     np.testing.assert_allclose(scaled.h, 2.0 * base.h, rtol=1e-12)
-    for key, value in base.J.items():
-        assert scaled.J[key] == pytest.approx(2.0 * value, rel=1e-12)
+    np.testing.assert_allclose(scaled.W, 2.0 * base.W, rtol=1e-12)
     np.testing.assert_array_equal(
         ising.solve_exact(base).best, ising.solve_exact(scaled).best
     )

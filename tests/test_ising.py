@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -8,52 +9,48 @@ from qesa import ising
 
 from conftest import (
     enumerate_ground_state,
+    fake_sampler_cmd,
     ising_energy_oracle,
+    ising_model,
     random_model,
     reference_sa,
     sa_against_reference,
 )
 
 
-def _model(couplings, h, offset=0.0):
-    return ising.IsingModel.from_couplings(len(h), couplings, h, offset)
-
-
 def test_energy_hand_values():
-    m = _model({}, [0.0, 0.0])
+    m = ising_model({}, [0.0, 0.0])
     assert ising.energy(m, [1.0, -1.0]) == 0.0
-    m = _model({(0, 1): 1.0}, [0.0, 0.0])
+    m = ising_model({(0, 1): 1.0}, [0.0, 0.0])
     assert ising.energy(m, [1.0, -1.0]) == -1.0
 
 
 def test_energy_matches_summation_oracle(rng):
     for _ in range(10):
         couplings, h, offset = random_model(rng, 10)
-        m = _model(couplings, h, offset)
+        m = ising_model(couplings, h, offset)
         s = rng.choice([-1.0, 1.0], size=10)
         expected = ising_energy_oracle(couplings, h, offset, s)
         assert ising.energy(m, s) == pytest.approx(expected, abs=1e-12)
 
 
 def test_energy_dimension_mismatch():
-    m = _model({}, [0.0, 0.0])
+    m = ising_model({}, [0.0, 0.0])
     with pytest.raises(ValueError):
         ising.energy(m, [1.0, 1.0, 1.0])
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        _model({(1, 0): 1.0}, [0.0, 0.0])  # keys must have i < j
-    with pytest.raises(ValueError):
-        _model({(0, 5): 1.0}, [0.0, 0.0, 0.0])  # j out of range
-    with pytest.raises(ValueError):
-        ising.IsingModel.from_couplings(3, {}, np.zeros(2))
+    with pytest.raises(ValueError, match="h must be a non-empty vector"):
+        ising.IsingModel(W=np.zeros((0, 0)), h=[])
+    with pytest.raises(ValueError, match="h must be a non-empty vector"):
+        ising.IsingModel(W=np.zeros((2, 2)), h=np.zeros((2, 1)))
 
 
 def test_model_from_dense_arrays():
     m = ising.IsingModel(W=[[0.0, 2.0], [2.0, 0.0]], h=[1.0, -1.0], offset=0.5)
     assert m.n == 2
-    assert m.J == {(0, 1): 2.0}
+    np.testing.assert_array_equal(m.W, [[0.0, 2.0], [2.0, 0.0]])
     assert ising.energy(m, [1.0, 1.0]) == 2.0 + 0.0 + 0.5
     with pytest.raises(ValueError):
         m.W[0, 1] = 3.0  # read-only
@@ -80,14 +77,14 @@ def test_model_rejects_non_finite_input(bad):
     with pytest.raises(ValueError, match="^offset has non-finite"):
         ising.IsingModel(W=np.zeros((2, 2)), h=np.zeros(2), offset=bad)
     with pytest.raises(ValueError, match="^W has non-finite"):
-        _model({(0, 1): bad}, [0.0, 0.0])
+        ising_model({(0, 1): bad}, [0.0, 0.0])
 
 
 def test_solve_exact_skips_nan_energies_and_raises_when_all_are_nan(monkeypatch):
     # Coefficients near the float maximum overflow to NaN energies, but which
     # states do depends on the BLAS summation order, so the energies are fed
     # in directly.
-    m = _model({(0, 1): 1.0}, [0.0, 0.0])
+    m = ising_model({(0, 1): 1.0}, [0.0, 0.0])
     monkeypatch.setattr(
         ising, "_energy_blocks", lambda w, h, offset: iter([np.array([[np.nan, 3.0], [np.nan, 1.0]])])
     )
@@ -98,14 +95,14 @@ def test_solve_exact_skips_nan_energies_and_raises_when_all_are_nan(monkeypatch)
 
 
 def test_solve_exact_tie_break_lexicographic():
-    result = ising.solve_exact(_model({(0, 1): 1.0}, [0.0, 0.0]))
+    result = ising.solve_exact(ising_model({(0, 1): 1.0}, [0.0, 0.0]))
     assert result.best_energy == -1.0
     np.testing.assert_array_equal(result.best, [-1.0, 1.0])
     assert result.num_samples == 4
 
 
 def test_solve_exact_independent_fields():
-    result = ising.solve_exact(_model({}, [2.0, -3.0]))
+    result = ising.solve_exact(ising_model({}, [2.0, -3.0]))
     np.testing.assert_array_equal(result.best, [-1.0, 1.0])
     assert result.best_energy == -5.0
 
@@ -113,7 +110,7 @@ def test_solve_exact_independent_fields():
 def test_solve_exact_matches_independent_enumerator(rng):
     for _ in range(5):
         couplings, h, offset = random_model(rng, 12)
-        result = ising.solve_exact(_model(couplings, h, offset))
+        result = ising.solve_exact(ising_model(couplings, h, offset))
         _, oracle_e = enumerate_ground_state(couplings, h, offset)
         assert result.best_energy == pytest.approx(oracle_e, abs=1e-9)
         assert result.num_samples == 4096
@@ -130,7 +127,7 @@ def _tree_model(rng, n):
         p = int(rng.integers(0, i))
         couplings[(p, i)] = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
         s[i] = -np.sign(couplings[(p, i)]) * s[p]
-    return _model(couplings, np.zeros(n)), s, -sum(abs(v) for v in couplings.values())
+    return ising_model(couplings, np.zeros(n)), s, -sum(abs(v) for v in couplings.values())
 
 
 def test_solve_exact_chunked_path_analytic(rng):
@@ -177,30 +174,31 @@ def test_solve_exact_cap_counts_free_spins(rng):
     with pytest.raises(ValueError, match=r"m=8 of n=12 exceeds the cap of 7"):
         ising.solve_exact(model, size_cap=7)
     result = ising.solve_exact(model, size_cap=8)
-    oracle_s, oracle_e = enumerate_ground_state(model.J, h)
+    couplings = {(i, j): w[i, j] for i, j in zip(*np.nonzero(np.triu(w, 1)))}
+    oracle_s, oracle_e = enumerate_ground_state(couplings, h)
     np.testing.assert_array_equal(result.best, oracle_s)
     assert result.best_energy == oracle_e
     assert result.num_samples == 1 << 12
 
 
 def test_solve_exact_refuses_above_cap():
-    m = _model({}, np.zeros(25))
+    m = ising_model({}, np.zeros(25))
     with pytest.raises(ValueError, match="cap"):
         ising.solve_exact(m)
     # explicit override is allowed
-    small = _model({}, np.zeros(10))
+    small = ising_model({}, np.zeros(10))
     assert ising.solve_exact(small, size_cap=10).num_samples == 1024
 
 
 def test_classical_sa_two_spin():
     cfg = ising.SamplerConfig(num_samples=10, inner_sweeps=20, seed=0)
-    result = ising.solve_classical_sa(_model({(0, 1): 1.0}, [0.0, 0.0]), cfg)
+    result = ising.solve_classical_sa(ising_model({(0, 1): 1.0}, [0.0, 0.0]), cfg)
     assert result.best_energy == -1.0
 
 
 def test_classical_sa_deterministic(rng):
     couplings, h, offset = random_model(rng, 8)
-    m = _model(couplings, h, offset)
+    m = ising_model(couplings, h, offset)
     cfg = ising.SamplerConfig(num_samples=20, inner_sweeps=15, seed=77)
     a = ising.solve_classical_sa(m, cfg)
     b = ising.solve_classical_sa(m, cfg)
@@ -215,7 +213,7 @@ def test_classical_sa_finds_ground_state_on_most_models(rng):
     hits = 0
     for trial in range(100):
         couplings, h, offset = random_model(rng, 12)
-        m = _model(couplings, h, offset)
+        m = ising_model(couplings, h, offset)
         exact = ising.solve_exact(m)
         result = ising.solve_classical_sa(m, dataclasses.replace(cfg_base, seed=trial))
         if result.best_energy <= exact.best_energy + 1e-9:
@@ -232,19 +230,19 @@ def _ferromagnet(n, scale):
 
 def _sa_oracle_cases():
     rng = np.random.default_rng(31)
-    random_models = {n: _model(*random_model(rng, n)) for n in (6, 7, 8, 10)}
+    random_models = {n: ising_model(*random_model(rng, n)) for n in (6, 7, 8, 10)}
     return {
-        "n1": (_model({}, [0.7]), 5, 4),
+        "n1": (ising_model({}, [0.7]), 5, 4),
         "odd_n": (random_models[7], 9, 6),
         # 64-byte rows, where numpy 2.4's masked in-place negative of a column misses entries
         "n8": (random_models[8], 12, 1),
         "one_sweep": (random_models[6], 16, 1),
         "one_read": (random_models[10], 1, 12),
-        "all_zero": (_model({}, np.zeros(4)), 6, 3),
+        "all_zero": (ising_model({}, np.zeros(4)), 6, 3),
         "exp_overflow": (_ferromagnet(8, 1.0), 64, 3),
         "exp_overflow_huge": (_ferromagnet(8, 1e300), 64, 3),
         # T_low = 0.01 * 5e-324 underflows to 0, and spin 4 has delta = 0
-        "zero_temperature": (_model({}, [5e-324, 5e-324, 5e-324, 5e-324, 0.0]), 1, 2),
+        "zero_temperature": (ising_model({}, [5e-324, 5e-324, 5e-324, 5e-324, 0.0]), 1, 2),
         # T_high = 10 * 2e307 overflows to inf, where every finite delta is accepted
         "infinite_temperature": (_ferromagnet(2, 2e307), 1, 1),
     }
@@ -315,7 +313,7 @@ def test_classical_sa_matches_reference_loop_when_fields_overflow(seed, monkeypa
 
 
 def test_best_sample_skips_nan_energies_and_raises_without_a_finite_one(monkeypatch):
-    m = _model({(0, 1): 1.0}, [0.0, 0.0])
+    m = ising_model({(0, 1): 1.0}, [0.0, 0.0])
     spins = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]])
     monkeypatch.setattr(ising, "batch_energies", lambda *args: np.array([np.nan, 3.0, -1.0]))
     np.testing.assert_array_equal(ising._best_sample(m, spins, 0.0).best, [1.0, -1.0])
@@ -328,24 +326,40 @@ def test_best_sample_skips_nan_energies_and_raises_without_a_finite_one(monkeypa
         ising._best_sample(m, spins, 0.0)
 
 
+@pytest.mark.parametrize("backend", ["exact", "sa", "random", "external"])
+def test_overflowing_model_raises_sampler_error_without_a_warning(backend):
+    # all couplings 1e308 on an odd number of spins: in every state some spin
+    # has a field 1e308 * (sum(s) - s_i) of at least 2e308 in size, so every
+    # energy computation overflows, whatever state a backend picks (the
+    # external double answers all ones)
+    model = ising.IsingModel(W=1e308 * (np.ones((9, 9)) - np.eye(9)), h=np.zeros(9))
+    cfg = ising.SamplerConfig(num_samples=4, inner_sweeps=2, seed=0,
+                              command=fake_sampler_cmd("allones"))
+    sampler = ising.make_sampler(backend, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ising.SamplerError, match="no read of the n=9 model has a finite energy"):
+            sampler(model)
+
+
 def test_solve_random_never_beats_exact(rng):
     for trial in range(5):
         couplings, h, offset = random_model(rng, 8)
-        m = _model(couplings, h, offset)
+        m = ising_model(couplings, h, offset)
         exact = ising.solve_exact(m)
         result = ising.solve_random(m, ising.SamplerConfig(num_samples=8, seed=trial))
         assert result.best_energy >= exact.best_energy - 1e-12
 
 
 def test_solve_random_degenerate_model():
-    m = _model({}, [0.0, 0.0, 0.0])
+    m = ising_model({}, [0.0, 0.0, 0.0])
     result = ising.solve_random(m, ising.SamplerConfig(num_samples=5, seed=0))
     assert result.best_energy == 0.0
 
 
 def test_solve_random_deterministic(rng):
     couplings, h, offset = random_model(rng, 6)
-    m = _model(couplings, h, offset)
+    m = ising_model(couplings, h, offset)
     cfg = ising.SamplerConfig(num_samples=50, seed=123)
     a = ising.solve_random(m, cfg)
     b = ising.solve_random(m, cfg)
@@ -354,7 +368,7 @@ def test_solve_random_deterministic(rng):
 
 def test_recomputation_invariant_all_backends(rng):
     couplings, h, offset = random_model(rng, 9)
-    m = _model(couplings, h, offset)
+    m = ising_model(couplings, h, offset)
     cfg = ising.SamplerConfig(num_samples=30, inner_sweeps=10, seed=5)
     for result in (
         ising.solve_exact(m),
@@ -369,7 +383,7 @@ def test_exactness_dominance(rng):
     cfg = ising.SamplerConfig(num_samples=40, inner_sweeps=10, seed=2)
     for _ in range(5):
         couplings, h, offset = random_model(rng, 10)
-        m = _model(couplings, h, offset)
+        m = ising_model(couplings, h, offset)
         exact_e = ising.solve_exact(m).best_energy
         assert ising.solve_classical_sa(m, cfg).best_energy >= exact_e - 1e-9
         assert ising.solve_random(m, cfg).best_energy >= exact_e - 1e-9
@@ -377,7 +391,7 @@ def test_exactness_dominance(rng):
 
 def test_spin_flip_symmetry_without_fields(rng):
     couplings, _, _ = random_model(rng, 8)
-    m = _model(couplings, np.zeros(8))
+    m = ising_model(couplings, np.zeros(8))
     for _ in range(10):
         s = rng.choice([-1.0, 1.0], size=8)
         assert ising.energy(m, s) == pytest.approx(ising.energy(m, -s), abs=1e-12)
@@ -387,7 +401,7 @@ def test_spin_flip_symmetry_without_fields(rng):
 
 def test_offset_linearity(rng):
     couplings, h, offset = random_model(rng, 8)
-    m = _model(couplings, h, offset)
+    m = ising_model(couplings, h, offset)
     shifted = dataclasses.replace(m, offset=offset + 2.5)
     base = ising.solve_exact(m)
     moved = ising.solve_exact(shifted)
@@ -421,7 +435,7 @@ def test_sampler_config_rejects_non_integer_inner_sweeps(value):
     assert ising.SamplerConfig(inner_sweeps=np.int64(2)).inner_sweeps == 2
 
 
-@pytest.mark.parametrize("timeout", [0.0, -1.0])
+@pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan])
 def test_sampler_config_rejects_non_positive_timeout(timeout):
     with pytest.raises(ValueError, match="timeout_s"):
         ising.SamplerConfig(timeout_s=timeout)
@@ -434,7 +448,7 @@ def test_make_sampler_unknown_backend():
 
 def test_reseeded_sampler_sequences_are_reproducible(rng):
     couplings, h, offset = random_model(rng, 7)
-    m = _model(couplings, h, offset)
+    m = ising_model(couplings, h, offset)
     cfg = ising.SamplerConfig(num_samples=10, inner_sweeps=5, seed=31)
     s1 = ising.make_sampler("sa", cfg)
     s2 = ising.make_sampler("sa", cfg)

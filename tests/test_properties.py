@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qesa import anneal, ising, qp
 
-from conftest import enumerate_ground_state, objective_oracle, sa_against_reference
+from conftest import enumerate_ground_state, ising_model, objective_oracle, sa_against_reference
 
 coefficient = st.floats(-10.0, 10.0, allow_nan=False)
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -64,16 +64,16 @@ def coupling_dicts(draw, max_n=8):
 
 @settings(deadline=None)
 @given(coupling_dicts())
-def test_couplings_round_trip_through_view_and_wire(case):
+def test_couplings_round_trip_through_wire(case):
     n, couplings, h = case
-    model = ising.IsingModel.from_couplings(n, couplings, h)
-    assert model.J == {key: v for key, v in couplings.items() if v != 0.0}
-    again = ising.IsingModel.from_couplings(n, model.J, model.h)
-    wired = ising.model_from_request(ising.model_to_request(model, 1))
-    for other in (again, wired):
-        assert other.J == model.J
-        np.testing.assert_array_equal(other.W, model.W)
-        np.testing.assert_array_equal(other.h, model.h)
+    model = ising_model(couplings, h)
+    request = ising.model_to_request(model, 1)
+    # the request lists the nonzero upper triangle of W, row by row
+    upper = [[i, j, model.W[i, j]] for i in range(n) for j in range(i + 1, n) if model.W[i, j] != 0.0]
+    assert request["J"] == upper
+    wired = ising.model_from_request(request)
+    np.testing.assert_array_equal(wired.W, model.W)
+    np.testing.assert_array_equal(wired.h, model.h)
 
 
 @st.composite
@@ -112,7 +112,7 @@ def test_solve_exact_returns_the_first_ground_state(case):
     # n from 1 to 10 covers both even and odd splits into the two half-tables;
     # the dominated spins are fixed first, the others enumerated
     couplings, h, offset = case
-    result = ising.solve_exact(ising.IsingModel.from_couplings(len(h), couplings, h, offset))
+    result = ising.solve_exact(ising_model(couplings, h, offset))
     oracle_s, oracle_e = enumerate_ground_state(couplings, h, offset)
     np.testing.assert_array_equal(result.best, oracle_s)
     assert result.best_energy == oracle_e

@@ -77,6 +77,18 @@ def test_generate_validation():
         qp.generate(3, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("n", [12.0, True, np.float64(3.0), 0])
+def test_generate_rejects_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        qp.generate(n, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_generate_rejects_non_finite_or_non_positive_diag_scale(scale):
+    with pytest.raises(ValueError, match="^diag_scale must be finite and > 0"):
+        qp.generate(3, scale, seed=0)
+
+
 def test_generator_marginals_uniform_sanity():
     # >= 10,000 off-diagonal entries from one wide instance
     inst = qp.generate(142, 1.0, seed=5)

@@ -11,8 +11,10 @@ It covers ``run_grid`` rows (every non-timing column, ``_best_x`` and the key
 order) with and without a ``reference`` cell and with jobs 1 and 2,
 ``to_json_dict`` of every non-external solver tag (values and key order), a
 trajectory, the plot and sweep tables the CLI writes, per-call reseeding of
-the stochastic samplers, the messages of the input checks, and the values
-and medians of the c07 solver-ordering test (about 20 s of the run).
+the stochastic samplers, the messages of the input checks, the external
+sampler's wire requests, a ``qesa_external`` solve through
+``tests/fake_sampler.py`` and its messages on malformed responses, and the
+values and medians of the c07 solver-ordering test (about 20 s of the run).
 """
 from __future__ import annotations
 
@@ -20,8 +22,10 @@ import contextlib
 import csv
 import json
 import os
+import shlex
 import sys
 import tempfile
+from dataclasses import replace
 from statistics import median
 
 import numpy as np
@@ -33,6 +37,8 @@ TAGS = ("qesa_exact", "qesa_random", "qesa_sa_exact", "sa", "projected_gradient"
 SCHEDULE = anneal.ScheduleConfig(steps=12)
 SAMPLER = ising.SamplerConfig(num_samples=12, inner_sweeps=8, seed=3)
 FAST = ["--steps", "6", "--num-samples", "8", "--inner-sweeps", "6"]
+FAKE_SAMPLER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests",
+                            "fake_sampler.py")
 
 
 def _untimed(doc: dict) -> list:
@@ -127,6 +133,44 @@ def messages() -> dict:
     return out
 
 
+def _fake(mode: str) -> str:
+    """Command of ``tests/fake_sampler.py`` in the given mode."""
+    return shlex.join([sys.executable, FAKE_SAMPLER, "--mode", mode])
+
+
+def _replying(response: str) -> str:
+    """Command of a sampler that reads the request and answers ``response``."""
+    return shlex.join([sys.executable, "-c", f"import sys; sys.stdin.read(); print({response!r})"])
+
+
+def external() -> dict:
+    """Wire requests, a ``qesa_external`` solve through the fake sampler, and
+    the adapter's messages on the fake sampler's bad modes and on malformed
+    responses."""
+    inst = qp.generate(10, 5.0, 3)
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, size=inst.n)
+    out = {
+        "corner_request": json.dumps(ising.model_to_request(anneal.init_ising(inst), 12)),
+        "direction_request": json.dumps(ising.model_to_request(anneal.direction_ising(inst, x, 0.3), 12)),
+    }
+    cfg = replace(SAMPLER, command=_fake("exact"))
+    out["qesa_external"] = _untimed(bench.SOLVERS["qesa_external"](inst, SCHEDULE, 7, cfg).to_json_dict())
+    model = ising.IsingModel(W=[[0.0, 1.0], [1.0, 0.0]], h=[0.5, -0.5])
+    commands = {mode: _fake(mode) for mode in ("allones", "ties", "zeros", "badjson", "empty", "short", "fail")}
+    responses = ('[[1, -1]]', '{"result": []}', '{"samples": 5}', '{"samples": [[1, "x"]]}',
+                 '{"samples": [[1, -1], [1]]}', '{"samples": [[1, -1], [[1], [-1]]]}',
+                 '{"samples": [[1, -1], {"a": 1}]}', '{"samples": [[1, null]]}',
+                 '{"samples": [[1, -1], [1, 2], [1]]}', '{"samples": [[1, 1], [-1, -1], [1, -1]]}')
+    commands.update((response, _replying(response)) for response in responses)
+    for name, command in commands.items():
+        try:
+            result = ising.solve_external(model, replace(cfg, command=command))
+            out[name] = [result.best.tolist(), result.best_energy, result.num_samples]
+        except Exception as exc:  # the message is the fingerprint
+            out[name] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
 def c07() -> dict:
     """The 80 values and the median of each solver in the c07 acceptance test."""
     schedule = anneal.ScheduleConfig()
@@ -146,7 +190,7 @@ def c07() -> dict:
 
 def main() -> None:
     doc = {"grids": grids(), "reports": reports(), "cli": cli_tables(),
-           "reseeding": reseeding(), "messages": messages(), "c07": c07()}
+           "reseeding": reseeding(), "messages": messages(), "external": external(), "c07": c07()}
     json.dump(doc, sys.stdout, indent=1)
     sys.stdout.write("\n")
 
